@@ -3,15 +3,15 @@
 # see DESIGN.md §11), static vetting, a full build, the race-enabled
 # short test suite, a bounded chaos sweep (seeded fault schedules
 # against the persistence layer, conservation invariants checked end to
-# end), and one iteration of the engine microbenchmarks (which
+# end), a short fuzz run of the stats-record decoder, and one iteration of the engine microbenchmarks (which
 # self-verify that the batched, fused-trace, and per-op paths agree,
 # and that the flattened epoch index matches the backward scan).
 
 GO ?= go
 
-.PHONY: check lint vet build test race-smoke chaos-smoke fleet-smoke chaos-nightly bench-smoke bench
+.PHONY: check lint vet build test race-smoke chaos-smoke fleet-smoke fuzz-smoke chaos-nightly bench-smoke bench
 
-check: lint vet build test race-smoke chaos-smoke fleet-smoke bench-smoke
+check: lint vet build test race-smoke chaos-smoke fleet-smoke fuzz-smoke bench-smoke
 
 # viplint: the repo's own go/analysis-style pass suite (cmd/viplint).
 # Exits nonzero on any unsuppressed finding; suppressions require
@@ -66,6 +66,12 @@ chaos-smoke:
 fleet-smoke:
 	$(GO) test -race -run 'TestFleetChaos$$' -count=1 ./internal/harness/
 	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication' -count=1 ./internal/fleet/
+
+# Native fuzzing of the stats-record decoder (internal/record/kv.go),
+# seeded from the golden payloads of all six stats records: no panic,
+# every accepted payload round-trips, malformed lines are rejected.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKV$$' -fuzztime 5s ./internal/record
 
 # Wide composed-schedule sweep (hundreds of seeds, minutes). Out of
 # `make check` by design: run it nightly or before cutting a release.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"viprof/internal/addr"
 	"viprof/internal/image"
@@ -366,72 +364,38 @@ func ReadAgentJournal(disk *kernel.Disk, pid int) AgentJournal {
 	return j
 }
 
-// writeStats persists the agent's self-counters as one framed record at
-// clean VM exit. Best-effort: a missing or torn stats file reads as
-// "the VM did not shut down cleanly", which is exactly right.
+// writeStats persists the agent's self-counters as one framed
+// AgentPersisted record at clean VM exit. Best-effort: a missing or
+// torn stats file reads as "the VM did not shut down cleanly", which
+// is exactly right.
 func (a *VMAgent) writeStats() {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "compiles=%d\nmoves=%d\nmaps_written=%d\nentries=%d\nmap_bytes=%d\n",
-		a.stats.Compiles, a.stats.Moves, a.stats.MapsWritten, a.stats.Entries, a.stats.MapBytes)
-	fmt.Fprintf(&buf, "map_write_errors=%d\ndeferred=%d\njournal_errors=%d\nclean=1\n",
-		a.stats.MapWriteErrors, a.stats.DeferredEntries, a.stats.JournalErrors)
+	ap := AgentPersisted{AgentStats: a.stats, Clean: true}
 	// Deliberately discarded: agent.stats is the crash-signal-by-absence
 	// protocol — a failed (or torn) stats write reads back as "the VM did
 	// not shut down cleanly", which is the correct degraded verdict, and
 	// there is no later point in the VM's life to retry or report it.
 	//viplint:allow syswrite-err stats absence IS the crash signal; no retry point exists
-	_ = a.m.Kern.SysWrite(a.proc, AgentStatsPath(a.proc.PID), record.Frame(buf.Bytes()))
+	_ = a.m.Kern.SysWrite(a.proc, AgentStatsPath(a.proc.PID), record.Frame(record.EncodeKV(ap.Fields())))
 }
 
-// AgentPersisted is the agent's self-reported view parsed back from
-// agent.stats; nil means the file is missing or damaged (the VM died).
+// AgentPersisted is the agent.stats record: the agent's counters plus
+// the clean-exit mark. A missing or damaged record means the VM died.
 type AgentPersisted struct {
-	Compiles, Moves, MapsWritten, Entries int
-	MapBytes                              uint64
-	MapWriteErrors, Deferred              int
-	JournalErrors                         int
-	Clean                                 bool
+	AgentStats
+	Clean bool
 }
 
-// ReadAgentStats parses the framed agent.stats record; nil if torn.
-func ReadAgentStats(data []byte) *AgentPersisted {
-	recs, sal := record.Scan(data)
-	if sal.Lossy() || len(recs) != 1 {
-		return nil
+// Fields is the agent.stats layout.
+func (ap *AgentPersisted) Fields() []record.Field {
+	return []record.Field{
+		record.Int("compiles", &ap.Compiles),
+		record.Int("moves", &ap.Moves),
+		record.Int("maps_written", &ap.MapsWritten),
+		record.Int("entries", &ap.Entries),
+		record.Uint("map_bytes", &ap.MapBytes),
+		record.Int("map_write_errors", &ap.MapWriteErrors),
+		record.Int("deferred", &ap.DeferredEntries),
+		record.Int("journal_errors", &ap.JournalErrors),
+		record.Bool("clean", &ap.Clean),
 	}
-	ap := &AgentPersisted{}
-	for _, line := range strings.Split(string(recs[0]), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil
-		}
-		switch k {
-		case "compiles":
-			ap.Compiles = n
-		case "moves":
-			ap.Moves = n
-		case "maps_written":
-			ap.MapsWritten = n
-		case "entries":
-			ap.Entries = n
-		case "map_bytes":
-			ap.MapBytes = uint64(n)
-		case "map_write_errors":
-			ap.MapWriteErrors = n
-		case "deferred":
-			ap.Deferred = n
-		case "journal_errors":
-			ap.JournalErrors = n
-		case "clean":
-			ap.Clean = n != 0
-		}
-	}
-	return ap
 }

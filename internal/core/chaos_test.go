@@ -277,6 +277,30 @@ func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {
 		t.Errorf("no destructive or listing faults but Integrity reads degraded:\n%s", buf.String())
 	}
 
+	// (3c) Spill-loss accounting agrees with itself: the persisted
+	// per-event split, the report's per-event rows and (on multi-core
+	// runs) the persisted per-CPU split each sum to the daemon's
+	// persisted hard-cap loss.
+	if st := integ.Stats; st != nil {
+		var byEvent, rows, byCPU uint64
+		for _, n := range st.SpilledLostByEvent {
+			byEvent += n
+		}
+		for _, si := range integ.Spill {
+			rows += si.Lost
+		}
+		for _, n := range st.PerCPU["spilled_lost"] {
+			byCPU += n
+		}
+		if byEvent != st.SpilledLost || rows != st.SpilledLost {
+			t.Errorf("spill loss: per-event %d, report rows %d, persisted total %d",
+				byEvent, rows, st.SpilledLost)
+		}
+		if r.Cores > 1 && byCPU != st.SpilledLost {
+			t.Errorf("spill loss: per-CPU %d != persisted total %d", byCPU, st.SpilledLost)
+		}
+	}
+
 	// (5b) Every recovery decision is visible: the pass's in-memory
 	// outcome must round-trip through the persisted stats record into
 	// the report's Integrity section.
@@ -616,6 +640,55 @@ func TestChaosMapBytesDeterministic(t *testing.T) {
 		if b[name] != data {
 			t.Errorf("map file %s differs between identical runs", name)
 		}
+	}
+}
+
+// TestChaosJournalReadFault pins the nightly seeds whose daemon-journal
+// read EIO the recovery pass once mishandled, each replayed with the
+// EIO scripted onto the journal reads (0 = the recovery pass's, 1 = the
+// next one) so the cases survive read-schedule shifts:
+//
+//   - seed 282 (read-fault): an EIO on a journal read must surface in
+//     Integrity, never leave it reading clean;
+//   - seed 485 (read-fault+torn-samples): with a spill file parked, an
+//     unreadable journal cannot tell committed frames from uncommitted
+//     ones, so recovery must leave the spill file and count a merge
+//     error instead of discarding committed samples.
+func TestChaosJournalReadFault(t *testing.T) {
+	for _, tc := range []struct {
+		seed   int64
+		script []int
+	}{
+		{282, []int{0}},
+		{282, []int{1}},
+		{485, []int{0, 1}},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("seed=%d/script=%v", tc.seed, tc.script), func(t *testing.T) {
+			t.Parallel()
+			sched := harness.ScheduleOf(tc.seed)
+			sched.ReadPlan = &kernel.ReadFaultPlan{
+				Seed:       tc.seed,
+				PathPrefix: oprofile.DaemonJournalFile,
+				Script:     tc.script,
+			}
+			r, err := harness.RunChaosSchedule(tc.seed, 0.25, sched)
+			if err != nil {
+				t.Fatalf("chaos run: %v", err)
+			}
+			if r.ReadFaults.EIO != uint64(len(tc.script)) {
+				t.Fatalf("scripted journal faults did not all fire: %+v", r.ReadFaults)
+			}
+			checkChaosInvariants(t, r)
+			if tc.script[0] == 0 && r.Recovery.JournalsDamaged != 1 {
+				t.Errorf("unreadable journal not counted by recovery: %+v", r.Recovery)
+			}
+			if tc.seed == 485 {
+				if !r.Machine.Kern.Disk().Exists(oprofile.SpillFile) || r.Recovery.SpillMergeErrors == 0 {
+					t.Errorf("spill file not left in place under an unreadable journal: %+v", r.Recovery)
+				}
+			}
+		})
 	}
 }
 

@@ -291,7 +291,9 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 	// This read happens after the map-file loop so the read-fault
 	// schedule for map files is unchanged.
 	journal := ReadAgentJournal(disk, pid)
-	var agentStats *AgentPersisted
+	// The agent's stats (exactly one intact record) witness that every
+	// commit-journal append succeeded.
+	statsOK := false
 	if spath := AgentStatsPath(pid); disk.Exists(spath) {
 		data, err := disk.Read(spath)
 		if err != nil {
@@ -300,11 +302,13 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 			// loud as any other unreadable artifact.
 			integ.JournalDamaged++
 		} else {
-			agentStats = ReadAgentStats(data)
+			var ap AgentPersisted
+			recs, sal := record.Scan(data)
+			statsOK = !sal.Lossy() && len(recs) == 1 && record.DecodeKV(recs[0], ap.Fields()) == nil &&
+				ap.JournalErrors == 0
 		}
 	}
-	verified := !journal.Missing && !journal.Damaged &&
-		agentStats != nil && agentStats.JournalErrors == 0
+	verified := !journal.Missing && !journal.Damaged && statsOK
 	if journal.Damaged {
 		integ.JournalDamaged++
 	}

@@ -98,7 +98,6 @@ func RunStartupRecovery(m *kernel.Machine) (*oprofile.RecoveryStats, error) {
 // maxRecoveryAttempts.
 func RunRecovery(m *kernel.Machine, pids []int) (*oprofile.RecoveryStats, error) {
 	kern := m.Kern
-	disk := kern.Disk()
 	stats := &oprofile.RecoveryStats{SpillRecovered: make(map[string]uint64)}
 	// Observational events counted at most once per artifact across
 	// restarted attempts.
@@ -129,11 +128,11 @@ func RunRecovery(m *kernel.Machine, pids []int) (*oprofile.RecoveryStats, error)
 		if crashed {
 			continue
 		}
-		if dj := oprofile.ReadDaemonJournal(disk); dj.Damaged && !counted["daemon-journal"] {
-			counted["daemon-journal"] = true
-			stats.JournalsDamaged++
-		}
+		// RecoverSpill is the pass's one read of the daemon journal.
 		sr, serr := oprofile.RecoverSpill(m, proc)
+		if sr.JournalDamaged {
+			countOnce(counted, "daemon-journal", &stats.JournalsDamaged)
+		}
 		stats.SpillMergeErrors += sr.MergeErrors
 		if sr.MergeErrors == 0 {
 			// Frame counts are final only when the attempt resolved the
@@ -153,7 +152,7 @@ func RunRecovery(m *kernel.Machine, pids []int) (*oprofile.RecoveryStats, error)
 		// is as undecided as one that crashed — restart so the last intact
 		// record on disk always reflects a completed pass.
 		stats.Clean = true
-		if werr := kern.SysWrite(proc, oprofile.RecoveryStatsFile, record.Frame(stats.Payload())); werr != nil {
+		if werr := kern.SysWrite(proc, oprofile.RecoveryStatsFile, record.Frame(record.EncodeKV(stats.Fields()))); werr != nil {
 			stats.Clean = false
 			stats.MarkerErrors++
 			continue

@@ -170,8 +170,13 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 		integ.SampleDroppedRecords = sal.DroppedRecords
 		integ.SampleDroppedBytes = sal.DroppedBytes
 	}
-	if stats, err := disk.Read(oprofile.DaemonStatsFile); err == nil {
-		integ.Stats = oprofile.ReadDaemonStats(stats)
+	// The daemon writes its stats once, at clean shutdown: anything but
+	// exactly one intact record is as untrustworthy as no file at all.
+	if data, err := disk.Read(oprofile.DaemonStatsFile); err == nil {
+		var ps oprofile.PersistedStats
+		if recs, sal := record.Scan(data); !sal.Lossy() && len(recs) == 1 && record.DecodeKV(recs[0], ps.Fields()) == nil {
+			integ.Stats = &ps
+		}
 	}
 	// Spill and recovery evidence. The spill state is re-read from disk
 	// (not taken from the daemon's self-counters) so the report reflects
@@ -180,8 +185,12 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 	integ.SpillOnDisk = spillSt.OnDiskTotal
 	integ.SpillJournalDamaged = spillSt.Journal.Damaged
 	if disk.Exists(oprofile.RecoveryStatsFile) {
+		// One record per completed attempt; the last intact one wins.
 		if rdata, err := disk.Read(oprofile.RecoveryStatsFile); err == nil {
-			integ.Recovery = oprofile.ReadRecoveryStats(rdata)
+			var rs oprofile.RecoveryStats
+			if recs, _ := record.Scan(rdata); len(recs) > 0 && record.DecodeKV(recs[len(recs)-1], rs.Fields()) == nil {
+				integ.Recovery = &rs
+			}
 		}
 		if integ.Recovery == nil {
 			// The file exists but no intact decision record survives.
@@ -194,8 +203,12 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 		integ.RecoveryIncomplete = true
 	}
 	if disk.Exists(oprofile.RetentionStatsFile) {
+		// One record per completed pass; the last intact one wins.
 		if rdata, err := disk.Read(oprofile.RetentionStatsFile); err == nil {
-			integ.Retention = oprofile.ReadRetentionStats(rdata)
+			var rs oprofile.RetentionStats
+			if recs, _ := record.Scan(rdata); len(recs) > 0 && record.DecodeKV(recs[len(recs)-1], rs.Fields()) == nil {
+				integ.Retention = &rs
+			}
 		}
 		if integ.Retention == nil {
 			// The ledger exists but no intact record survives (or the
@@ -256,12 +269,14 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 			mi.MissingCommitted = ci.MissingCommitted
 			mi.JournalDamaged = ci.JournalDamaged
 		}
+		// Written once at clean VM exit: exactly one intact record.
 		if data, err := disk.Read(AgentStatsPath(pid)); err == nil {
-			if ap := ReadAgentStats(data); ap != nil {
+			var ap AgentPersisted
+			if recs, sal := record.Scan(data); !sal.Lossy() && len(recs) == 1 && record.DecodeKV(recs[0], ap.Fields()) == nil {
 				mi.AgentStatsPresent = true
 				mi.AgentClean = ap.Clean
 				mi.MapWriteErrors = ap.MapWriteErrors
-				mi.DeferredEntries = ap.Deferred
+				mi.DeferredEntries = ap.DeferredEntries
 				mi.JournalErrors = ap.JournalErrors
 			}
 		}

@@ -55,15 +55,17 @@ func RunRetention(m *kernel.Machine, pol RetentionPolicy) *oprofile.RetentionSta
 	pol.fill()
 	kern := m.Kern
 	disk := kern.Disk()
-	stats := &oprofile.RetentionStats{Survivors: make(map[string]int)}
+	stats := &oprofile.RetentionStats{Survivors: make(map[string]uint64)}
 
-	// Prior ledger: ages carry across passes. A torn or unreadable
-	// ledger restarts every age from zero — loudly.
-	prior := make(map[string]int)
+	// Prior ledger (the file's last intact record): ages carry across
+	// passes. A torn or unreadable ledger restarts every age from zero
+	// — loudly.
+	prior := make(map[string]uint64)
 	if disk.Exists(oprofile.RetentionStatsFile) {
-		if data, err := disk.Read(oprofile.RetentionStatsFile); err != nil {
-			stats.PriorDamaged = true
-		} else if rs := oprofile.ReadRetentionStats(data); rs == nil {
+		data, err := disk.Read(oprofile.RetentionStatsFile)
+		recs, _ := record.Scan(data)
+		var rs oprofile.RetentionStats
+		if err != nil || len(recs) == 0 || record.DecodeKV(recs[len(recs)-1], rs.Fields()) != nil {
 			stats.PriorDamaged = true
 		} else {
 			prior = rs.Survivors
@@ -73,7 +75,7 @@ func RunRetention(m *kernel.Machine, pol RetentionPolicy) *oprofile.RetentionSta
 	type entry struct {
 		path string
 		size int
-		age  int
+		age  uint64
 	}
 	var entries []entry
 	for _, path := range disk.List() {
@@ -106,7 +108,7 @@ func RunRetention(m *kernel.Machine, pol RetentionPolicy) *oprofile.RetentionSta
 	keptBytes := 0
 	for _, e := range entries {
 		switch {
-		case pol.MaxAgePasses > 0 && e.age > pol.MaxAgePasses:
+		case pol.MaxAgePasses > 0 && e.age > uint64(pol.MaxAgePasses):
 			prune[e.path] = true
 			reason[e.path] = &stats.AgePruned
 		case pol.MaxQuarantineFiles > 0 && kept >= pol.MaxQuarantineFiles:
@@ -147,7 +149,7 @@ func RunRetention(m *kernel.Machine, pol RetentionPolicy) *oprofile.RetentionSta
 	}
 	proc.Daemon = true
 	stats.Clean = true
-	if werr := kern.SysWriteSync(proc, oprofile.RetentionStatsFile, record.Frame(stats.Payload())); werr != nil {
+	if werr := kern.SysWriteSync(proc, oprofile.RetentionStatsFile, record.Frame(record.EncodeKV(stats.Fields()))); werr != nil {
 		// Ledger write failed: abort the prune. The files stay, the
 		// failure is surfaced, and the next pass retries.
 		stats.StatsErrors++

@@ -9,6 +9,7 @@ import (
 	"viprof/internal/hpc"
 	"viprof/internal/kernel"
 	"viprof/internal/oprofile"
+	"viprof/internal/record"
 )
 
 func retentionMachine(seed int64) *kernel.Machine {
@@ -64,10 +65,21 @@ func TestRetentionBoundsCountAndSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	persisted := oprofile.ReadRetentionStats(data)
+	persisted := lastRetentionRecord(data)
 	if persisted == nil || persisted.Pruned != stats.Pruned || len(persisted.Survivors) != stats.Kept {
 		t.Fatalf("persisted ledger mismatch: %+v vs %+v", persisted, stats)
 	}
+}
+
+// lastRetentionRecord decodes the ledger's last intact record, the
+// way the retention pass and the report read it; nil if none decodes.
+func lastRetentionRecord(data []byte) *oprofile.RetentionStats {
+	recs, _ := record.Scan(data)
+	var rs oprofile.RetentionStats
+	if len(recs) == 0 || record.DecodeKV(recs[len(recs)-1], rs.Fields()) != nil {
+		return nil
+	}
+	return &rs
 }
 
 func TestRetentionAgesAcrossPasses(t *testing.T) {
@@ -80,7 +92,7 @@ func TestRetentionAgesAcrossPasses(t *testing.T) {
 		if stats.Pruned != 0 {
 			t.Fatalf("pass %d pruned early: %+v", pass, stats)
 		}
-		if got := stats.Survivors[quarantinePath(0)]; got != pass {
+		if got := stats.Survivors[quarantinePath(0)]; got != uint64(pass) {
 			t.Fatalf("pass %d: age %d", pass, got)
 		}
 	}
@@ -140,7 +152,7 @@ func TestRetentionSurfacedInIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := oprofile.ReadRetentionStats(data)
+	rt := lastRetentionRecord(data)
 	if rt == nil || rt.Pruned != 2 {
 		t.Fatalf("persisted retention not readable: %+v", rt)
 	}

@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"viprof/internal/kernel"
@@ -15,197 +13,57 @@ import (
 // Persisted stats records. Both the collector and every sender write
 // one framed key=value record at clean shutdown (the RecoveryStats
 // protocol, DESIGN §12): the record's absence or damage IS the crash
-// signal, so the readers return nil instead of guessing.
+// signal, so the integrity assembly reports nil instead of guessing.
 
-// collectorStatsPayload serializes CollectorStats as key=value lines.
-func collectorStatsPayload(s *CollectorStats) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "shards=%d\ningested=%d\nduplicates=%d\nout_of_order=%d\nmaps_applied=%d\nwire_damaged=%d\n",
-		s.Shards, s.Ingested, s.Duplicates, s.OutOfOrder, s.MapsApplied, s.WireDamaged)
-	fmt.Fprintf(&buf, "journal_errors=%d\nacks_sent=%d\nrestarts=%d\nreplay_errors=%d\n",
-		s.JournalErrors, s.AcksSent, s.Restarts, s.ReplayErrors)
-	fmt.Fprintf(&buf, "replayed_frames=%d\nmarker_errors=%d\ndead_letters=%d\nsnapshot_errors=%d\n",
-		s.ReplayedFrames, s.MarkerErrors, s.DeadLetters, s.SnapshotErrors)
-	fmt.Fprintf(&buf, "failovers=%d\nhandoffs=%d\nhandoff_errors=%d\nmisrouted=%d\n",
-		s.Failovers, s.Handoffs, s.HandoffErrors, s.Misrouted)
-	fmt.Fprintf(&buf, "compactions=%d\ncompact_errors=%d\n", s.Compactions, s.CompactErrors)
-	fmt.Fprintf(&buf, "clean=%d\n", b2i(s.Clean))
-	return buf.Bytes()
+// Fields is the collector.stats layout.
+func (s *CollectorStats) Fields() []record.Field {
+	return []record.Field{
+		record.Uint("shards", &s.Shards),
+		record.Uint("ingested", &s.Ingested),
+		record.Uint("duplicates", &s.Duplicates),
+		record.Uint("out_of_order", &s.OutOfOrder),
+		record.Uint("maps_applied", &s.MapsApplied),
+		record.Uint("wire_damaged", &s.WireDamaged),
+		record.Uint("journal_errors", &s.JournalErrors),
+		record.Uint("acks_sent", &s.AcksSent),
+		record.Uint("restarts", &s.Restarts),
+		record.Uint("replay_errors", &s.ReplayErrors),
+		record.Uint("replayed_frames", &s.ReplayedFrames),
+		record.Uint("marker_errors", &s.MarkerErrors),
+		record.Uint("dead_letters", &s.DeadLetters),
+		record.Uint("snapshot_errors", &s.SnapshotErrors),
+		record.Uint("failovers", &s.Failovers),
+		record.Uint("handoffs", &s.Handoffs),
+		record.Uint("handoff_errors", &s.HandoffErrors),
+		record.Uint("misrouted", &s.Misrouted),
+		record.Uint("compactions", &s.Compactions),
+		record.Uint("compact_errors", &s.CompactErrors),
+		record.Bool("clean", &s.Clean),
+	}
 }
 
-// ReadCollectorStats parses the collector's persisted stats record (the
-// last intact record wins). Nil means the collector never shut down
-// cleanly.
-func ReadCollectorStats(data []byte) *CollectorStats {
-	kv := readStatsKV(data)
-	if kv == nil {
-		return nil
+// Fields is the per-host sender stats layout. The per-event maps
+// leave out zero entries.
+func (s *SenderStats) Fields() []record.Field {
+	return []record.Field{
+		record.Uint("generated", &s.Generated),
+		record.Uint("sent", &s.Sent),
+		record.Uint("retries", &s.Retries),
+		record.Uint("timeouts", &s.Timeouts),
+		record.Uint("acked", &s.Acked),
+		record.Uint("spilled", &s.Spilled),
+		record.Uint("deferred", &s.Deferred),
+		record.Uint("lost", &s.Lost),
+		record.Uint("spill_errors", &s.SpillErrors),
+		record.Uint("stats_errors", &s.StatsErrors),
+		record.Uint("spilled_samples", &s.SpilledSamples),
+		record.Uint("lost_samples", &s.LostSamples),
+		record.Uint("maps_generated", &s.MapsGenerated),
+		record.Uint("maps_acked", &s.MapsAcked),
+		record.MapNonZero("spilled_by_event.", &s.SpilledByEvent),
+		record.MapNonZero("lost_by_event.", &s.LostByEvent),
+		record.Bool("clean", &s.Clean),
 	}
-	s := &CollectorStats{}
-	for k, n := range kv {
-		switch k {
-		case "shards":
-			s.Shards = n
-		case "ingested":
-			s.Ingested = n
-		case "duplicates":
-			s.Duplicates = n
-		case "out_of_order":
-			s.OutOfOrder = n
-		case "maps_applied":
-			s.MapsApplied = n
-		case "wire_damaged":
-			s.WireDamaged = n
-		case "failovers":
-			s.Failovers = n
-		case "handoffs":
-			s.Handoffs = n
-		case "handoff_errors":
-			s.HandoffErrors = n
-		case "misrouted":
-			s.Misrouted = n
-		case "compactions":
-			s.Compactions = n
-		case "compact_errors":
-			s.CompactErrors = n
-		case "journal_errors":
-			s.JournalErrors = n
-		case "acks_sent":
-			s.AcksSent = n
-		case "restarts":
-			s.Restarts = n
-		case "replay_errors":
-			s.ReplayErrors = n
-		case "replayed_frames":
-			s.ReplayedFrames = n
-		case "marker_errors":
-			s.MarkerErrors = n
-		case "dead_letters":
-			s.DeadLetters = n
-		case "snapshot_errors":
-			s.SnapshotErrors = n
-		case "clean":
-			s.Clean = n != 0
-		}
-	}
-	return s
-}
-
-// senderStatsPayload serializes SenderStats as key=value lines.
-func senderStatsPayload(s *SenderStats) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "generated=%d\nsent=%d\nretries=%d\ntimeouts=%d\nacked=%d\n",
-		s.Generated, s.Sent, s.Retries, s.Timeouts, s.Acked)
-	fmt.Fprintf(&buf, "spilled=%d\ndeferred=%d\nlost=%d\nspill_errors=%d\nstats_errors=%d\n",
-		s.Spilled, s.Deferred, s.Lost, s.SpillErrors, s.StatsErrors)
-	fmt.Fprintf(&buf, "spilled_samples=%d\nlost_samples=%d\n", s.SpilledSamples, s.LostSamples)
-	fmt.Fprintf(&buf, "maps_generated=%d\nmaps_acked=%d\n", s.MapsGenerated, s.MapsAcked)
-	for _, pair := range []struct {
-		prefix string
-		m      map[string]uint64
-	}{{"spilled_by_event.", s.SpilledByEvent}, {"lost_by_event.", s.LostByEvent}} {
-		events := make([]string, 0, len(pair.m))
-		for ev := range pair.m {
-			events = append(events, ev)
-		}
-		sort.Strings(events)
-		for _, ev := range events {
-			if pair.m[ev] == 0 {
-				continue
-			}
-			fmt.Fprintf(&buf, "%s%s=%d\n", pair.prefix, ev, pair.m[ev])
-		}
-	}
-	fmt.Fprintf(&buf, "clean=%d\n", b2i(s.Clean))
-	return buf.Bytes()
-}
-
-// ReadSenderStats parses a host's persisted stats record (last intact
-// record wins). Nil means the sender crashed before finishing.
-func ReadSenderStats(data []byte) *SenderStats {
-	kv := readStatsKV(data)
-	if kv == nil {
-		return nil
-	}
-	s := &SenderStats{
-		SpilledByEvent: make(map[string]uint64),
-		LostByEvent:    make(map[string]uint64),
-	}
-	for k, n := range kv {
-		if ev, found := strings.CutPrefix(k, "spilled_by_event."); found {
-			s.SpilledByEvent[ev] = n
-			continue
-		}
-		if ev, found := strings.CutPrefix(k, "lost_by_event."); found {
-			s.LostByEvent[ev] = n
-			continue
-		}
-		switch k {
-		case "generated":
-			s.Generated = n
-		case "sent":
-			s.Sent = n
-		case "retries":
-			s.Retries = n
-		case "timeouts":
-			s.Timeouts = n
-		case "acked":
-			s.Acked = n
-		case "spilled":
-			s.Spilled = n
-		case "deferred":
-			s.Deferred = n
-		case "lost":
-			s.Lost = n
-		case "spill_errors":
-			s.SpillErrors = n
-		case "stats_errors":
-			s.StatsErrors = n
-		case "spilled_samples":
-			s.SpilledSamples = n
-		case "lost_samples":
-			s.LostSamples = n
-		case "maps_generated":
-			s.MapsGenerated = n
-		case "maps_acked":
-			s.MapsAcked = n
-		case "clean":
-			s.Clean = n != 0
-		}
-	}
-	return s
-}
-
-// readStatsKV scans a framed stats file and parses the last intact
-// record as key=value lines; nil on no intact record or parse damage.
-func readStatsKV(data []byte) map[string]uint64 {
-	recs, _ := record.Scan(data)
-	if len(recs) == 0 {
-		return nil
-	}
-	kv := make(map[string]uint64)
-	for _, line := range strings.Split(string(recs[len(recs)-1]), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil
-		}
-		kv[k] = n
-	}
-	return kv
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // HostReport is the per-host slice of the fleet integrity assembly.
@@ -323,10 +181,14 @@ func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hos
 	fi := &FleetIntegrity{Journal: rep, Net: net}
 
 	if disk.Exists(CollectorStatsFile) {
+		// The last intact record wins.
 		if data, err := disk.Read(CollectorStatsFile); err != nil {
 			fi.CollectorUnreadable = true
-		} else {
-			fi.Collector = ReadCollectorStats(data)
+		} else if recs, _ := record.Scan(data); len(recs) > 0 {
+			var cs CollectorStats
+			if record.DecodeKV(recs[len(recs)-1], cs.Fields()) == nil {
+				fi.Collector = &cs
+			}
 		}
 	}
 	if disk.Exists(AggregateFile) {
@@ -342,10 +204,14 @@ func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hos
 	for _, host := range hosts {
 		hr := HostReport{Host: host}
 		if disk.Exists(SenderStatsPath(host)) {
+			// The last intact record wins.
 			if data, err := disk.Read(SenderStatsPath(host)); err != nil {
 				hr.StatsUnreadable = true
-			} else {
-				hr.Stats = ReadSenderStats(data)
+			} else if recs, _ := record.Scan(data); len(recs) > 0 {
+				var ss SenderStats
+				if record.DecodeKV(recs[len(recs)-1], ss.Fields()) == nil {
+					hr.Stats = &ss
+				}
 			}
 		}
 		spillSeqs := make(map[uint64]bool)

@@ -462,7 +462,7 @@ func (s *Sender) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 func (s *Sender) finish(m *kernel.Machine, p *kernel.Process) {
 	s.finished = true
 	s.stats.Clean = true
-	if err := m.Kern.SysWriteSync(p, SenderStatsPath(s.cfg.Host), record.Frame(senderStatsPayload(&s.stats))); err != nil {
+	if err := m.Kern.SysWriteSync(p, SenderStatsPath(s.cfg.Host), record.Frame(record.EncodeKV(s.stats.Fields()))); err != nil {
 		s.stats.StatsErrors++
 		s.stats.Clean = false
 	}

@@ -3,8 +3,6 @@ package oprofile
 import (
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"viprof/internal/record"
 )
@@ -17,9 +15,10 @@ import (
 // partial failure is degrade-don't-lie: every lost sample, torn record,
 // failed flush, and crashed writer must be visible here.
 
-// PersistedStats is the daemon's self-reported view of the run, parsed
-// back from DaemonStatsFile. A nil PersistedStats (file missing or
-// torn) means the daemon did not shut down cleanly.
+// PersistedStats is the daemon's self-reported view of the run, the
+// one record in DaemonStatsFile. A nil PersistedStats (file missing,
+// torn, or holding anything but exactly one intact record) means the
+// daemon did not shut down cleanly.
 type PersistedStats struct {
 	NMIs, Logged, Dropped                        uint64
 	SamplesLogged, Flushes, FlushErrors, Spilled uint64
@@ -33,81 +32,34 @@ type PersistedStats struct {
 	// protocol's own self-counters.
 	SpillBatches, SpillErrors, JournalErrors uint64
 	// PerCPU maps a base counter name ("nmis", "logged", "dropped",
-	// "samples_logged") to its per-CPU values, parsed from
-	// `<name>.cpu<N>` lines. Nil for single-core runs, whose stats
-	// files carry no per-CPU section.
+	// "samples_logged", "spilled_lost") to its per-CPU values, stored
+	// as `<name>.cpu<N>` lines. Nil for single-core runs, whose stats
+	// files carry no per-CPU section; "spilled_lost" holds only the
+	// CPUs that lost samples.
 	PerCPU map[string]map[int]uint64
 	Clean  bool
 }
 
-// ReadDaemonStats parses the framed stats record; nil if the file is
-// torn, lossy, or structurally wrong (all equivalent: not trustworthy).
-func ReadDaemonStats(data []byte) *PersistedStats {
-	recs, sal := record.Scan(data)
-	if sal.Lossy() || len(recs) != 1 {
-		return nil
+// Fields is the oprofiled.stats layout.
+func (ps *PersistedStats) Fields() []record.Field {
+	return []record.Field{
+		record.Uint("nmis", &ps.NMIs),
+		record.Uint("logged", &ps.Logged),
+		record.Uint("dropped", &ps.Dropped),
+		record.Uint("samples_logged", &ps.SamplesLogged),
+		record.Uint("flushes", &ps.Flushes),
+		record.Uint("flush_errors", &ps.FlushErrors),
+		record.Uint("spilled", &ps.Spilled),
+		record.Uint("unflushed", &ps.Unflushed),
+		record.Uint("spilled_on_disk", &ps.SpilledOnDisk),
+		record.Uint("spilled_lost", &ps.SpilledLost),
+		record.Uint("spill_batches", &ps.SpillBatches),
+		record.Uint("spill_errors", &ps.SpillErrors),
+		record.Uint("journal_errors", &ps.JournalErrors),
+		record.Map("spilled_lost.", &ps.SpilledLostByEvent),
+		record.PerCPU([]string{"nmis", "logged", "dropped", "samples_logged", "spilled_lost"}, &ps.PerCPU),
+		record.Bool("clean", &ps.Clean),
 	}
-	ps := &PersistedStats{SpilledLostByEvent: make(map[string]uint64)}
-	for _, line := range strings.Split(string(recs[0]), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil
-		}
-		if ev, found := strings.CutPrefix(k, "spilled_lost."); found {
-			ps.SpilledLostByEvent[ev] = n
-			continue
-		}
-		if base, rest, found := strings.Cut(k, ".cpu"); found && base != "" {
-			if ci, cerr := strconv.Atoi(rest); cerr == nil {
-				if ps.PerCPU == nil {
-					ps.PerCPU = make(map[string]map[int]uint64)
-				}
-				if ps.PerCPU[base] == nil {
-					ps.PerCPU[base] = make(map[int]uint64)
-				}
-				ps.PerCPU[base][ci] = n
-				continue
-			}
-		}
-		switch k {
-		case "nmis":
-			ps.NMIs = n
-		case "logged":
-			ps.Logged = n
-		case "dropped":
-			ps.Dropped = n
-		case "samples_logged":
-			ps.SamplesLogged = n
-		case "flushes":
-			ps.Flushes = n
-		case "flush_errors":
-			ps.FlushErrors = n
-		case "spilled":
-			ps.Spilled = n
-		case "spilled_on_disk":
-			ps.SpilledOnDisk = n
-		case "spilled_lost":
-			ps.SpilledLost = n
-		case "spill_batches":
-			ps.SpillBatches = n
-		case "spill_errors":
-			ps.SpillErrors = n
-		case "journal_errors":
-			ps.JournalErrors = n
-		case "unflushed":
-			ps.Unflushed = n
-		case "clean":
-			ps.Clean = n != 0
-		}
-	}
-	return ps
 }
 
 // MapIntegrity is the per-VM code-map damage report.

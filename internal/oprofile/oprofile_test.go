@@ -12,6 +12,7 @@ import (
 	"viprof/internal/hpc"
 	"viprof/internal/image"
 	"viprof/internal/kernel"
+	"viprof/internal/record"
 )
 
 func newMachine(seed int64) *kernel.Machine {
@@ -55,7 +56,7 @@ func TestCountsRoundTrip(t *testing.T) {
 	if err := WriteCounts(&buf, counts, order); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCounts(&buf)
+	got, err := ReadCounts(bytes.NewReader(record.Frame(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,36 +71,45 @@ func TestCountsRoundTrip(t *testing.T) {
 }
 
 func TestReadCountsSumsDuplicates(t *testing.T) {
-	line := "0\t0\t0\t64\t5\tapp\tlibc.so\n"
-	got, err := ReadCounts(strings.NewReader(line + line))
+	line := "0\t0\t0\t64\t5\t1\tapp\tlibc.so\n"
+	file := append(record.Frame([]byte(line+line)), record.Frame([]byte(line))...)
+	got, err := ReadCounts(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := Key{Event: hpc.GlobalPowerEvents, Image: "libc.so", Proc: "app", Off: 64}
-	if got[k] != 10 {
-		t.Errorf("duplicate lines not summed: %d", got[k])
+	k := Key{Event: hpc.GlobalPowerEvents, Image: "libc.so", Proc: "app", CPU: 1, Off: 64}
+	if got[k] != 15 {
+		t.Errorf("duplicate lines not summed across records: %d", got[k])
 	}
 }
 
 func TestReadCountsErrors(t *testing.T) {
-	if _, err := ReadCounts(strings.NewReader("garbage line\n")); err == nil {
-		t.Error("malformed line accepted")
+	for _, payload := range []string{
+		"garbage line\n",
+		"x\t0\t0\t1\t1\t0\tp\timg\n", // non-numeric event
+		"0\t0\t0\t1\t1\tp\timg\n",    // 7 fields: no cpu column
+	} {
+		if _, err := ReadCounts(bytes.NewReader(record.Frame([]byte(payload)))); err == nil {
+			t.Errorf("malformed payload %q accepted", payload)
+		}
 	}
-	if _, err := ReadCounts(strings.NewReader("x\t0\t0\t1\t1\tp\timg\n")); err == nil {
-		t.Error("non-numeric event accepted")
+	line := []byte("0\t0\t0\t64\t5\t0\tapp\tlibc.so\n")
+	if _, err := ReadCounts(bytes.NewReader(line)); err == nil {
+		t.Error("unframed sample lines accepted")
 	}
 }
 
 // Property: WriteCounts/ReadCounts round-trips arbitrary key content,
 // including image names with spaces, commas and parens.
 func TestCountsRoundTripQuick(t *testing.T) {
-	f := func(off uint32, cnt uint16, epoch uint8, jit bool) bool {
+	f := func(off uint32, cnt uint16, epoch, ci uint8, jit bool) bool {
 		k := Key{
 			Event: hpc.BSQCacheReference,
 			Image: "anon (range:0x1-0x2),weird proc name",
 			Proc:  "weird proc name",
 			JIT:   jit,
 			Epoch: int(epoch),
+			CPU:   int(ci),
 			Off:   addr.Address(off),
 		}
 		counts := map[Key]uint64{k: uint64(cnt) + 1}
@@ -107,7 +117,7 @@ func TestCountsRoundTripQuick(t *testing.T) {
 		if err := WriteCounts(&buf, counts, []Key{k}); err != nil {
 			return false
 		}
-		got, err := ReadCounts(&buf)
+		got, err := ReadCounts(bytes.NewReader(record.Frame(buf.Bytes())))
 		if err != nil {
 			return false
 		}
@@ -369,6 +379,55 @@ func TestDaemonDrainsAndFlushes(t *testing.T) {
 		if fromDisk[k] != v {
 			t.Errorf("key %+v: disk %d, mem %d", k, fromDisk[k], v)
 		}
+	}
+}
+
+// TestDaemonWriteStatsGolden pins the bytes writeStats persists for a
+// 2-CPU daemon with hard-cap loss on one CPU: the per-CPU block comes
+// after the per-event map, CPU by CPU, and spilled_lost.cpuN appears
+// only for the CPU that lost samples.
+func TestDaemonWriteStatsGolden(t *testing.T) {
+	m := newMachine(1)
+	proc, err := m.Kern.NewProcess("oprofiled", kernel.ExecFunc(
+		func(*kernel.Machine, *kernel.Process) kernel.StepResult { return kernel.StepExit }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Daemon{
+		drv: &Driver{
+			bufs:   make([][]Sample, 2),
+			stats:  DriverStats{NMIs: 70, Logged: 65, Dropped: 5},
+			percpu: []DriverStats{{NMIs: 40, Logged: 38, Dropped: 2}, {NMIs: 30, Logged: 27, Dropped: 3}},
+		},
+		proc: proc,
+		dirty: map[Key]uint64{
+			{Event: hpc.GlobalPowerEvents, Image: "a"}: 4,
+			{Event: hpc.GlobalPowerEvents, Image: "b"}: 3,
+		},
+		samplesLogged:      60,
+		samplesLoggedCPU:   []uint64{35, 25},
+		flushes:            9,
+		flushErrors:        2,
+		spillBatches:       3,
+		spillErrors:        1,
+		journalErrors:      1,
+		spilledOnDisk:      11,
+		spilledLost:        5,
+		spilledLostByEvent: map[string]uint64{"CPU_CLK_UNHALTED": 5},
+		spilledLostCPU:     map[int]uint64{0: 5},
+	}
+	d.writeStats(m)
+	data, err := m.Kern.Disk().Read(DaemonStatsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, sal := record.Scan(data)
+	if sal.Lossy() || len(recs) != 1 {
+		t.Fatalf("stats file: %d records, salvage %+v", len(recs), sal)
+	}
+	const want = "nmis=70\nlogged=65\ndropped=5\nsamples_logged=60\nflushes=9\nflush_errors=2\nspilled=16\nunflushed=7\nspilled_on_disk=11\nspilled_lost=5\nspill_batches=3\nspill_errors=1\njournal_errors=1\nspilled_lost.CPU_CLK_UNHALTED=5\nnmis.cpu0=40\nlogged.cpu0=38\ndropped.cpu0=2\nsamples_logged.cpu0=35\nspilled_lost.cpu0=5\nnmis.cpu1=30\nlogged.cpu1=27\ndropped.cpu1=3\nsamples_logged.cpu1=25\nclean=1\n"
+	if string(recs[0]) != want {
+		t.Errorf("stats payload drifted:\n got %q\nwant %q", recs[0], want)
 	}
 }
 

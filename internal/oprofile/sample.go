@@ -101,9 +101,10 @@ const SampleFile = "var/lib/oprofile/samples.log"
 //
 //	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>cpu<TAB>proc<TAB>image
 //
-// Image goes last because it may contain spaces and commas. The cpu
-// field was appended for SMP machines; readers accept the older
-// 7-field layout and treat those lines as CPU 0.
+// Image goes last because it may contain spaces and commas. Every
+// producer frames the result (one record per flush, spill frame,
+// snapshot or wire body); ReadCountsSalvage and ParseCountsText read
+// it back.
 func WriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
 	bw := bufio.NewWriter(w)
 	for _, k := range order {
@@ -123,70 +124,47 @@ func WriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
 	return bw.Flush()
 }
 
-// ReadCounts parses a sample file, summing duplicate keys (the daemon
-// appends deltas across flushes). It auto-detects the durable framed
-// format (each flush is one checksummed record, see internal/record)
-// and falls back to legacy plain-text parsing; a framed file with any
-// damage is a hard error here — use ReadCountsSalvage to recover the
-// intact records with loss accounting.
+// ReadCounts parses a framed sample file, summing duplicate keys (the
+// daemon appends deltas across flushes). Any damage is a hard error
+// here — use ReadCountsSalvage to recover the intact records with loss
+// accounting.
 func ReadCounts(r io.Reader) (map[Key]uint64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if record.IsFramed(data) {
-		counts, sal, err := ReadCountsSalvage(data)
-		if err != nil {
-			return nil, err
-		}
-		if sal.Lossy() {
-			return nil, fmt.Errorf("oprofile: sample file corrupt: %d records dropped (%d bytes)",
-				sal.DroppedRecords, sal.DroppedBytes)
-		}
-		return counts, nil
-	}
-	counts := make(map[Key]uint64)
-	if err := readCountsText(data, counts); err != nil {
+	counts, sal, err := ReadCountsSalvage(data)
+	if err != nil {
 		return nil, err
+	}
+	if sal.Lossy() {
+		return nil, fmt.Errorf("oprofile: sample file corrupt: %d records dropped (%d bytes)",
+			sal.DroppedRecords, sal.DroppedBytes)
 	}
 	return counts, nil
 }
 
-// ReadCountsSalvage parses a sample file, recovering every intact
-// framed record and accounting for damage instead of failing. Legacy
-// plain-text files parse as a single clean pseudo-record.
+// ReadCountsSalvage parses a framed sample file, recovering every
+// intact record and accounting for damage instead of failing.
 func ReadCountsSalvage(data []byte) (map[Key]uint64, record.Salvage, error) {
 	counts := make(map[Key]uint64)
-	if len(data) == 0 {
-		return counts, record.Salvage{}, nil
-	}
-	if !record.IsFramed(data) {
-		if err := readCountsText(data, counts); err != nil {
-			return nil, record.Salvage{}, err
-		}
-		return counts, record.Salvage{Records: 1}, nil
-	}
 	recs, sal := record.Scan(data)
 	for _, payload := range recs {
 		// A checksum-valid record that fails to parse is a writer bug,
 		// not disk damage: fail hard rather than salvage it away.
-		if err := readCountsText(payload, counts); err != nil {
+		if err := ParseCountsText(payload, counts); err != nil {
 			return nil, sal, err
 		}
 	}
 	return counts, sal, nil
 }
 
-// ParseCountsText parses plain sample-file lines (the WriteCounts
-// format) into counts, summing duplicate keys. It is the payload parser
-// for contexts where framing is handled out of line — the fleet wire
-// protocol ships one WriteCounts body per framed delta record.
+// ParseCountsText parses the sample lines of one record payload (the
+// WriteCounts format) into counts, summing duplicate keys. Callers
+// handle the framing: the sample-file readers, spill frames, and the
+// fleet wire protocol, which ships one WriteCounts body per framed
+// delta record.
 func ParseCountsText(data []byte, counts map[Key]uint64) error {
-	return readCountsText(data, counts)
-}
-
-// readCountsText parses plain sample-file lines into counts.
-func readCountsText(data []byte, counts map[Key]uint64) error {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	line := 0
@@ -197,16 +175,7 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 			continue
 		}
 		parts := strings.SplitN(text, "\t", 8)
-		// 7-field lines predate the per-CPU pipeline: no cpu column,
-		// proc/image shifted left. Parse them as CPU 0.
-		cpu := 0
-		procIdx := 6
-		switch len(parts) {
-		case 8:
-			procIdx = 6
-		case 7:
-			procIdx = 5
-		default:
+		if len(parts) != 8 {
 			return fmt.Errorf("oprofile: sample line %d: %d fields", line, len(parts))
 		}
 		ev, err1 := strconv.Atoi(parts[0])
@@ -214,21 +183,16 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 		epoch, err3 := strconv.Atoi(parts[2])
 		off, err4 := strconv.ParseUint(parts[3], 10, 64)
 		cnt, err5 := strconv.ParseUint(parts[4], 10, 64)
-		errs := []error{err1, err2, err3, err4, err5}
-		if len(parts) == 8 {
-			var err6 error
-			cpu, err6 = strconv.Atoi(parts[5])
-			errs = append(errs, err6)
-		}
-		for _, err := range errs {
+		cpu, err6 := strconv.Atoi(parts[5])
+		for _, err := range []error{err1, err2, err3, err4, err5, err6} {
 			if err != nil {
 				return fmt.Errorf("oprofile: sample line %d: %v", line, err)
 			}
 		}
 		k := Key{
 			Event: hpc.Event(ev),
-			Image: parts[procIdx+1],
-			Proc:  parts[procIdx],
+			Image: parts[7],
+			Proc:  parts[6],
 			JIT:   jit != 0,
 			Epoch: epoch,
 			CPU:   cpu,

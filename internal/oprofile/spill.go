@@ -110,7 +110,7 @@ func parseSpillFrame(payload []byte) (spillFrame, error) {
 		return spillFrame{}, fmt.Errorf("oprofile: spill frame: %v", err)
 	}
 	counts := make(map[Key]uint64)
-	if err := readCountsText(rest, counts); err != nil {
+	if err := ParseCountsText(rest, counts); err != nil {
 		return spillFrame{}, err
 	}
 	return spillFrame{seq: seq, counts: counts}, nil
@@ -129,6 +129,9 @@ type DaemonJournal struct {
 	Damaged bool
 	// Missing reports that the journal file does not exist at all.
 	Missing bool
+	// Unreadable reports an EIO reading the journal back (Damaged is
+	// set too): no commit can be verified.
+	Unreadable bool
 }
 
 // ReadDaemonJournal parses the journal through the salvage layer.
@@ -140,7 +143,7 @@ func ReadDaemonJournal(disk *kernel.Disk) DaemonJournal {
 	}
 	data, err := disk.Read(DaemonJournalFile)
 	if err != nil {
-		j.Damaged = true
+		j.Damaged, j.Unreadable = true, true
 		return j
 	}
 	recs, sal := record.Scan(data)
@@ -240,7 +243,8 @@ type SpillRecovery struct {
 	// MergeErrors counts failed merge writes (spill file left in
 	// place for a later attempt).
 	MergeErrors int
-	// JournalDamaged mirrors the journal's Damaged flag.
+	// JournalDamaged mirrors the journal's Damaged flag; the recovery
+	// pass counts it, since this is its one read of the journal.
 	JournalDamaged bool
 }
 
@@ -255,13 +259,14 @@ func RecoverSpill(m *kernel.Machine, proc *kernel.Process) (SpillRecovery, error
 	disk := m.Kern.Disk()
 	st := ReadSpillState(disk)
 	sr.JournalDamaged = st.Journal.Damaged
-	if st.Unreadable {
-		// Cannot read the spill back: leave it for a later attempt and
-		// count the failure as a merge error.
-		sr.MergeErrors++
+	if !disk.Exists(SpillFile) {
 		return sr, nil
 	}
-	if !disk.Exists(SpillFile) {
+	if st.Unreadable || st.Journal.Unreadable {
+		// Cannot read the spill back, or cannot tell its committed
+		// frames from uncommitted ones: leave it for a later attempt
+		// and count the failure as a merge error.
+		sr.MergeErrors++
 		return sr, nil
 	}
 	sr.FramesDiscarded = st.FramesUncommitted + st.Salvage.DroppedRecords
