@@ -3,9 +3,11 @@
 # see DESIGN.md §11), static vetting, a full build, the race-enabled
 # short test suite, a bounded chaos sweep (seeded fault schedules
 # against the persistence layer, conservation invariants checked end to
-# end), a short fuzz run of the stats-record decoder, and one iteration of the engine microbenchmarks (which
-# self-verify that the batched, fused-trace, and per-op paths agree,
-# and that the flattened epoch index matches the backward scan).
+# end), short fuzz runs of the stats-record decoder and the
+# commit-journal reader, and one iteration of the engine
+# microbenchmarks (which self-verify that the batched, fused-trace,
+# and per-op paths agree, and that the flattened epoch index matches
+# the backward scan).
 
 GO ?= go
 
@@ -70,8 +72,13 @@ fleet-smoke:
 # Native fuzzing of the stats-record decoder (internal/record/kv.go),
 # seeded from the golden payloads of all six stats records: no panic,
 # every accepted payload round-trips, malformed lines are rejected.
+# Then the commit-journal reader (internal/record/file.go), seeded from
+# the golden daemon and agent journal frames plus torn and byte-flipped
+# variants: no panic, every ratified key comes from an intact record
+# that parses, and salvage loss or an unparseable record is damage.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKV$$' -fuzztime 5s ./internal/record
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 5s ./internal/record
 
 # Wide composed-schedule sweep (hundreds of seeds, minutes). Out of
 # `make check` by design: run it nightly or before cutting a release.

@@ -26,6 +26,8 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"reflect"
@@ -83,6 +85,11 @@ func runChaosSweep(t *testing.T, lo, hi int64) {
 					t.Fatalf("chaos run: %v", err)
 				}
 				checkChaosInvariants(t, r)
+				if seed < int64(len(chaosSmokeDigests)) {
+					if got := chaosDigest(t, r); got != chaosSmokeDigests[seed] {
+						t.Errorf("disk + Integrity digest %s, pinned %s", got, chaosSmokeDigests[seed])
+					}
+				}
 				mu.Lock()
 				traces.Installed += r.TraceStats.Installed
 				traces.Replays += r.TraceStats.Replays
@@ -101,6 +108,59 @@ func runChaosSweep(t *testing.T, lo, hi int64) {
 	if traces.Invalidations == 0 {
 		t.Errorf("sweep never invalidated a trace (%+v): promotion/GC interaction with the trace cache went untested under faults", traces)
 	}
+}
+
+// chaosSmokeDigests pins the behaviour contract of the chaos-smoke
+// seeds: per seed, the SHA-256 of the rendered Integrity section plus
+// every file on the run's disk (chaosDigest). A change to how the
+// pipeline persists or reads back its artifacts must leave every row
+// unchanged; a mismatch prints the new digest.
+var chaosSmokeDigests = [...]string{
+	"a045e5df0658cda2d47e1d25c990783d42e524d9b4391112f545e2396240906f", // 0 daemon-crash
+	"bcce9598006cf9504022fdcea4b5934a699c21a6f3ee79f973f414f1f703c382", // 1 enospc
+	"e1a48b2ac9cc8c9cb6e679d5f8a677fd60740812313295c7bfc59f2cdcd2a466", // 2 torn-map
+	"27b73719f6f1a0b0ad2ddffd5fbc8b8902508d9e13bbb5e64a85845628018803", // 3 torn-samples
+	"92f1c12e32248e13bfbac940749e986dd292619bf71d9a05bfb9c585941d7634", // 4 vm-kill
+	"7a079d3b8960bfd542b1a911fcfbb3e35adf3757846258ef4951cd9e809a6879", // 5 rename-fault
+	"dc1d0031d425cf47e1c289b1017f2542697570589ac94c09753b1aa055e41c62", // 6 dir-damage
+	"a0292847d2a729d8add87e3fd82048ec23db8371b93dc953024e7730ee1fa0a0", // 7 read-fault
+	"7a50308a51afcecc3e8fe2e90940d7fb184ea4762c2a2bc7848c7f8c263ae06e", // 8 shard-crash
+	"75e7a0dc1e2e33b73ceb3aeae0dcb4c4ab3ea6775238afb81c66364714d2cbfd", // 9 vm-kill+shard-crash
+	"c90464ea65edff882d1c80c3eec32d476e682cfd7dc106ebdd8886001df81763", // 10 daemon-crash+enospc+read-fault
+	"6eae03b061ad3a183491c293428ce928f70da5cc2ba47c06293f5e094cb6e754", // 11 vm-kill+dir-damage
+	"6a4c9575062ebf8e3e4094b820c5386c5252b1e0167107fa3d2d10df4028f985", // 12 shard-crash+torn-samples
+	"d16a9b09e113fca2cf136840cf35f87e75b1880e650217bcf367f614313268a8", // 13 enospc
+	"f906d6a2495ab7406c093c2b6b9297986fc3f3a5e3dec2bc2aec8710b7ba4de9", // 14 torn-map+torn-samples
+	"a2db705feb78df3b6cabe28866147f230d73b04684745d712659bed52c7aa1dd", // 15 dir-damage
+	"4dc74d9eb01263dc65f1fd886fce4baec08ab7fd4d4ad0693c1219a80696f377", // 16 torn-samples+dir-damage+enospc
+	"1ff0d2b3901b1cc96cd7edd803a7e44ba73df7877f5bb20468748609f611419b", // 17 shard-crash
+	"9e95a5a2144382bdef85e45a3919bdc0d9cb207fc9b028bded0a5902920a77fc", // 18 enospc+daemon-crash
+	"90dc1c85c537fb90ed49e2a33d1310488c145acf171a6e2c120713ccfec9726e", // 19 read-fault+dir-damage+torn-samples
+	"cde0e24639b45f6ed864a22304fdf1aa8f8a8a68a570938d1cce736e2df187a7", // 20 vm-kill+torn-map
+	"64924f6519d10579df0c9f5a142c27e9e85e374e2a024a15e202b518f355c6b6", // 21 torn-map+rename-fault+vm-kill
+	"c0eeb0694c1f25461103be58258045ba327192ee184bf5435cb64bbe41217eaf", // 22 rename-fault
+	"6d742c2874afe9690996a4957567bd76ef38b777c66bbb1675581451e7eaa37b", // 23 dir-damage+daemon-crash
+	"f99cf7c548f6c4f3428adf84e81729e5cb7993fbf73db8fea760f35cbc5fb069", // 24 shard-crash+dir-damage+rename-fault
+}
+
+// chaosDigest hashes the run's rendered Integrity section, then every
+// disk file (path, length, bytes) in sorted path order.
+func chaosDigest(t *testing.T, r *harness.ChaosResult) string {
+	t.Helper()
+	h := sha256.New()
+	if err := oprofile.FormatIntegrity(h, r.Report.Integrity); err != nil {
+		t.Fatal(err)
+	}
+	disk := r.Machine.Kern.Disk()
+	for _, p := range disk.List() {
+		data, err := disk.Read(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", p, len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {

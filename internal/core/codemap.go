@@ -290,31 +290,26 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 	//
 	// This read happens after the map-file loop so the read-fault
 	// schedule for map files is unchanged.
-	journal := ReadAgentJournal(disk, pid)
+	journal := readAgentJournal(disk, pid)
 	// The agent's stats (exactly one intact record) witness that every
 	// commit-journal append succeeded.
-	statsOK := false
-	if spath := AgentStatsPath(pid); disk.Exists(spath) {
-		data, err := disk.Read(spath)
-		if err != nil {
-			// The stats exist but would not read back: the journal's
-			// completeness witness is gone to an EIO, which must be as
-			// loud as any other unreadable artifact.
-			integ.JournalDamaged++
-		} else {
-			var ap AgentPersisted
-			recs, sal := record.Scan(data)
-			statsOK = !sal.Lossy() && len(recs) == 1 && record.DecodeKV(recs[0], ap.Fields()) == nil &&
-				ap.JournalErrors == 0
-		}
+	sf := record.ReadFile(disk, AgentStatsPath(pid))
+	if sf.Unreadable {
+		// The stats exist but would not read back: the journal's
+		// completeness witness is gone to an EIO, which must be as
+		// loud as any other unreadable artifact.
+		integ.JournalDamaged++
 	}
+	var ap AgentPersisted
+	p, ok := sf.Only()
+	statsOK := ok && record.DecodeKV(p, ap.Fields()) == nil && ap.JournalErrors == 0
 	verified := !journal.Missing && !journal.Damaged && statsOK
 	if journal.Damaged {
 		integ.JournalDamaged++
 	}
 	if !journal.Missing || len(files) > 0 || integ.UnreadableFiles > 0 {
-		for e := range journal.Committed {
-			if !present[e] {
+		for key := range journal.Committed {
+			if e := int(key); !present[e] {
 				integ.MissingCommitted++
 				if e > poison {
 					poison = e

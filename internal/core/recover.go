@@ -114,7 +114,7 @@ func RunRecovery(m *kernel.Machine, pids []int) (*oprofile.RecoveryStats, error)
 		proc.Daemon = true
 		// Durable evidence first: a pass that dies after this line is
 		// still visible to the offline tools as "began, never decided".
-		if werr := kern.SysWrite(proc, oprofile.DaemonJournalFile, oprofile.JournalRecoveryBegin()); werr != nil {
+		if werr := kern.SysWrite(proc, oprofile.DaemonJournalFile, record.Frame([]byte(oprofile.RecoveryBeginMarker))); werr != nil {
 			stats.MarkerErrors++
 			continue
 		}
@@ -166,8 +166,7 @@ func RunRecovery(m *kernel.Machine, pids []int) (*oprofile.RecoveryStats, error)
 // directory. A non-nil error means the recovery process crashed.
 func recoverMaps(kern *kernel.Kernel, proc *kernel.Process, pid int, stats *oprofile.RecoveryStats, counted map[string]bool) error {
 	disk := kern.Disk()
-	journal := ReadAgentJournal(disk, pid)
-	if journal.Damaged {
+	if readAgentJournal(disk, pid).Damaged {
 		countOnce(counted, fmt.Sprintf("agent-journal:%d", pid), &stats.JournalsDamaged)
 	}
 	prefix := fmt.Sprintf("%s/%d/", MapDir, pid)
@@ -181,7 +180,7 @@ func recoverMaps(kern *kernel.Kernel, proc *kernel.Process, pid int, stats *opro
 		}
 	}
 	for _, tmp := range tmps {
-		if err := recoverOrphan(kern, proc, prefix, tmp, journal, stats, counted); err != nil {
+		if err := recoverOrphan(kern, proc, prefix, tmp, stats, counted); err != nil {
 			return err
 		}
 	}
@@ -190,7 +189,7 @@ func recoverMaps(kern *kernel.Kernel, proc *kernel.Process, pid int, stats *opro
 
 // recoverOrphan decides one temp file's fate. A non-nil error means
 // the recovery process crashed mid-decision.
-func recoverOrphan(kern *kernel.Kernel, proc *kernel.Process, prefix, tmp string, journal AgentJournal, stats *oprofile.RecoveryStats, counted map[string]bool) error {
+func recoverOrphan(kern *kernel.Kernel, proc *kernel.Process, prefix, tmp string, stats *oprofile.RecoveryStats, counted map[string]bool) error {
 	disk := kern.Disk()
 	if !disk.Exists(tmp) {
 		// The dirent exists but the file does not: a phantom from

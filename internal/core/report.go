@@ -172,11 +172,9 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 	}
 	// The daemon writes its stats once, at clean shutdown: anything but
 	// exactly one intact record is as untrustworthy as no file at all.
-	if data, err := disk.Read(oprofile.DaemonStatsFile); err == nil {
-		var ps oprofile.PersistedStats
-		if recs, sal := record.Scan(data); !sal.Lossy() && len(recs) == 1 && record.DecodeKV(recs[0], ps.Fields()) == nil {
-			integ.Stats = &ps
-		}
+	var ps oprofile.PersistedStats
+	if p, ok := record.ReadFile(disk, oprofile.DaemonStatsFile).Only(); ok && record.DecodeKV(p, ps.Fields()) == nil {
+		integ.Stats = &ps
 	}
 	// Spill and recovery evidence. The spill state is re-read from disk
 	// (not taken from the daemon's self-counters) so the report reflects
@@ -184,38 +182,27 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 	spillSt := oprofile.ReadSpillState(disk)
 	integ.SpillOnDisk = spillSt.OnDiskTotal
 	integ.SpillJournalDamaged = spillSt.Journal.Damaged
-	if disk.Exists(oprofile.RecoveryStatsFile) {
-		// One record per completed attempt; the last intact one wins.
-		if rdata, err := disk.Read(oprofile.RecoveryStatsFile); err == nil {
-			var rs oprofile.RecoveryStats
-			if recs, _ := record.Scan(rdata); len(recs) > 0 && record.DecodeKV(recs[len(recs)-1], rs.Fields()) == nil {
-				integ.Recovery = &rs
-			}
-		}
-		if integ.Recovery == nil {
-			// The file exists but no intact decision record survives.
-			integ.RecoveryIncomplete = true
-		}
+	// One record per completed recovery attempt; the last intact one
+	// wins. A file with no intact decision record, or durable begin
+	// markers with no decision record, mean a recovery pass started and
+	// never finished.
+	rf := record.ReadFile(disk, oprofile.RecoveryStatsFile)
+	var rs oprofile.RecoveryStats
+	if p, ok := rf.Last(); ok && record.DecodeKV(p, rs.Fields()) == nil {
+		integ.Recovery = &rs
 	}
-	if spillSt.Journal.RecoveryBegun > 0 && integ.Recovery == nil {
-		// Durable begin marker(s), no decision record: a recovery pass
-		// started and never finished.
+	if integ.Recovery == nil && (!rf.Missing || spillSt.Journal.Markers > 0) {
 		integ.RecoveryIncomplete = true
 	}
-	if disk.Exists(oprofile.RetentionStatsFile) {
-		// One record per completed pass; the last intact one wins.
-		if rdata, err := disk.Read(oprofile.RetentionStatsFile); err == nil {
-			var rs oprofile.RetentionStats
-			if recs, _ := record.Scan(rdata); len(recs) > 0 && record.DecodeKV(recs[len(recs)-1], rs.Fields()) == nil {
-				integ.Retention = &rs
-			}
-		}
-		if integ.Retention == nil {
-			// The ledger exists but no intact record survives (or the
-			// read itself failed): age tracking is broken — loudly.
-			integ.RetentionDamaged = true
-		}
+	// One retention record per completed pass; the last intact one
+	// wins. A ledger with no intact record (or an unreadable one) means
+	// age tracking is broken — loudly.
+	tf := record.ReadFile(disk, oprofile.RetentionStatsFile)
+	var rt oprofile.RetentionStats
+	if p, ok := tf.Last(); ok && record.DecodeKV(p, rt.Fields()) == nil {
+		integ.Retention = &rt
 	}
+	integ.RetentionDamaged = !tf.Missing && integ.Retention == nil
 	// Per-event spill accounting: what recovery merged back vs what the
 	// daemon's hard cap dropped for good.
 	spillEvents := make(map[string]*oprofile.SpillIntegrity)
@@ -270,15 +257,13 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 			mi.JournalDamaged = ci.JournalDamaged
 		}
 		// Written once at clean VM exit: exactly one intact record.
-		if data, err := disk.Read(AgentStatsPath(pid)); err == nil {
-			var ap AgentPersisted
-			if recs, sal := record.Scan(data); !sal.Lossy() && len(recs) == 1 && record.DecodeKV(recs[0], ap.Fields()) == nil {
-				mi.AgentStatsPresent = true
-				mi.AgentClean = ap.Clean
-				mi.MapWriteErrors = ap.MapWriteErrors
-				mi.DeferredEntries = ap.DeferredEntries
-				mi.JournalErrors = ap.JournalErrors
-			}
+		var ap AgentPersisted
+		if p, ok := record.ReadFile(disk, AgentStatsPath(pid)).Only(); ok && record.DecodeKV(p, ap.Fields()) == nil {
+			mi.AgentStatsPresent = true
+			mi.AgentClean = ap.Clean
+			mi.MapWriteErrors = ap.MapWriteErrors
+			mi.DeferredEntries = ap.DeferredEntries
+			mi.JournalErrors = ap.JournalErrors
 		}
 		integ.Maps = append(integ.Maps, mi)
 	}

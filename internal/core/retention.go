@@ -61,14 +61,12 @@ func RunRetention(m *kernel.Machine, pol RetentionPolicy) *oprofile.RetentionSta
 	// passes. A torn or unreadable ledger restarts every age from zero
 	// — loudly.
 	prior := make(map[string]uint64)
-	if disk.Exists(oprofile.RetentionStatsFile) {
-		data, err := disk.Read(oprofile.RetentionStatsFile)
-		recs, _ := record.Scan(data)
+	if f := record.ReadFile(disk, oprofile.RetentionStatsFile); !f.Missing {
 		var rs oprofile.RetentionStats
-		if err != nil || len(recs) == 0 || record.DecodeKV(recs[len(recs)-1], rs.Fields()) != nil {
-			stats.PriorDamaged = true
-		} else {
+		if p, ok := f.Last(); ok && record.DecodeKV(p, rs.Fields()) == nil {
 			prior = rs.Survivors
+		} else {
+			stats.PriorDamaged = true
 		}
 	}
 

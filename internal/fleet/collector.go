@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -461,41 +462,170 @@ type JournalReplay struct {
 	// unparseable — the generation index is gone, which is loud
 	// degradation even though the journals still replay.
 	ManifestDamaged bool
+	// Manifest is the manifest the replay read (nil: none, damaged, or
+	// unreadable); the integrity stray-file audit checks against it.
+	Manifest *Manifest
 }
 
-// replayInto classifies one store payload into the aggregate.
-func (rep *JournalReplay) replayInto(agg *Aggregate, payload []byte) {
-	msg, err := DecodePayload(payload)
-	if err != nil {
-		rep.ParseErrors++
-		return
-	}
-	rep.applyDecoded(agg, msg)
-}
-
-// applyDecoded classifies one already-decoded payload (nil = parse
-// failure) into the aggregate.
-func (rep *JournalReplay) applyDecoded(agg *Aggregate, msg *WireMsg) {
-	if msg == nil {
-		rep.ParseErrors++
-		return
-	}
-	switch msg.Kind {
-	case KindDelta:
-		if agg.Apply(msg) {
+// fold classifies one store file's records into the aggregate.
+func (rep *JournalReplay) fold(agg *Aggregate, f storeFile) {
+	rep.Salvage.DroppedRecords += f.Salvage.DroppedRecords
+	rep.Salvage.DroppedBytes += f.Salvage.DroppedBytes
+	for _, msg := range f.msgs {
+		switch {
+		case msg == nil:
+			rep.ParseErrors++
+		case msg.Kind == KindRestart:
+			rep.Markers++
+		case msg.Kind != KindDelta && msg.Kind != KindMap:
+			// Carries no store state.
+		case !agg.Apply(msg):
+			rep.Duplicates++
+		case msg.Kind == KindDelta:
 			rep.Deltas++
-		} else {
-			rep.Duplicates++
-		}
-	case KindMap:
-		if agg.Apply(msg) {
+		default:
 			rep.Maps++
-		} else {
-			rep.Duplicates++
 		}
-	case KindRestart:
-		rep.Markers++
 	}
+}
+
+// storeFile is one store file read back through the salvage layer,
+// with every intact payload decoded (msgs[i] is nil where Recs[i] does
+// not parse).
+type storeFile struct {
+	record.File
+	path string
+	msgs []*WireMsg
+}
+
+// storeRead is one read of the whole durable store: the one reader
+// behind LoadStore, compaction, shard restart and failover.
+type storeRead struct {
+	// man is the parsed manifest (nil: never compacted, or damaged);
+	// manErr says why a manifest that exists could not be used.
+	man    *Manifest
+	manErr error
+	// files are the generation files the manifest names, then every
+	// shard journal in shard order; gens counts the former.
+	files []storeFile
+	gens  int
+	// failed names the file whose read failed (the read stops there).
+	failed string
+}
+
+// readStore reads the manifest, the generation files it names, then
+// shard journals 0..maxShardSlots-1, each through record.ReadFile. The
+// reads are sequential (the disk and its read-fault schedule are
+// stateful); the pure decode of each file then runs concurrently,
+// share-nothing. A torn or unparseable manifest is reported in manErr
+// and its generation skipped — the journals still replay. An EIO, or a
+// generation file the manifest names but the disk lacks, stops the
+// read: the error is returned and failed names the file.
+func readStore(disk *kernel.Disk) (*storeRead, error) {
+	st := &storeRead{}
+	fail := func(path string) (*storeRead, error) {
+		st.failed = path
+		return st, fmt.Errorf("fleet: store file %s unreadable", path)
+	}
+	mf := record.ReadFile(disk, ManifestPath)
+	if mf.Unreadable {
+		return fail(ManifestPath)
+	}
+	if !mf.Missing {
+		st.man, st.manErr = parseManifest(mf)
+	}
+	if st.man != nil {
+		for _, gf := range st.man.Files {
+			f := record.ReadFile(disk, gf.Path)
+			if f.Missing || f.Unreadable {
+				return fail(gf.Path)
+			}
+			st.files = append(st.files, storeFile{File: f, path: gf.Path})
+		}
+	}
+	st.gens = len(st.files)
+	for i := 0; i < maxShardSlots; i++ {
+		path := ShardJournalPath(i)
+		f := record.ReadFile(disk, path)
+		if f.Unreadable {
+			return fail(path)
+		}
+		if !f.Missing {
+			st.files = append(st.files, storeFile{File: f, path: path})
+		}
+	}
+	// The file count grows with the store, so a fixed set of workers
+	// decodes them, one whole file at a time.
+	work := make(chan *storeFile)
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range work {
+				f.msgs = make([]*WireMsg, len(f.Recs))
+				for i, payload := range f.Recs {
+					if msg, err := DecodePayload(payload); err == nil {
+						f.msgs[i] = msg
+					}
+				}
+			}
+		}()
+	}
+	for i := range st.files {
+		work <- &st.files[i]
+	}
+	close(work)
+	wg.Wait()
+	return st, nil
+}
+
+// header is the replay accounting the manifest alone determines.
+func (st *storeRead) header() JournalReplay {
+	rep := JournalReplay{Manifest: st.man, ManifestDamaged: st.manErr != nil}
+	if st.man != nil {
+		rep.ManifestGen = st.man.Gen
+		// Damage absorbed by past compactions is carried forward in the
+		// manifest, so pruned torn journals still count as loss here.
+		rep.Salvage.DroppedRecords += st.man.LostRecs
+		rep.Salvage.DroppedBytes += st.man.LostBytes
+	}
+	return rep
+}
+
+// replay folds the generation files, then the given journals, into
+// the aggregate — generation first, so its copy of a record wins.
+func (st *storeRead) replay(agg *Aggregate, journals []storeFile) JournalReplay {
+	rep := st.header()
+	for _, f := range st.files[:st.gens] {
+		rep.GenFiles++
+		rep.GenFrames += len(f.Recs)
+		rep.fold(agg, f)
+	}
+	for _, f := range journals {
+		rep.Journals++
+		rep.fold(agg, f)
+	}
+	return rep
+}
+
+// burnSet is every (host, seq) the store durably holds: the
+// duplicate-suppression set a shard burns before absorbing a dead
+// peer's hosts or rejoining the serving set.
+func (st *storeRead) burnSet() map[int]map[uint64]bool {
+	out := make(map[int]map[uint64]bool)
+	for _, f := range st.files {
+		for _, msg := range f.msgs {
+			if msg == nil || (msg.Kind != KindDelta && msg.Kind != KindMap) {
+				continue
+			}
+			if out[msg.Host] == nil {
+				out[msg.Host] = make(map[uint64]bool)
+			}
+			out[msg.Host][msg.Seq] = true
+		}
+	}
+	return out
 }
 
 // LoadStore rebuilds an aggregate from the durable store: the current
@@ -508,142 +638,12 @@ func (rep *JournalReplay) applyDecoded(agg *Aggregate, msg *WireMsg) {
 // exists but cannot be read (injected EIO) — the caller retries or
 // degrades loudly.
 func LoadStore(disk *kernel.Disk, shards int) (*Aggregate, JournalReplay, error) {
+	st, err := readStore(disk)
+	if err != nil {
+		return nil, st.header(), err
+	}
 	agg := NewAggregate(shards)
-	var rep JournalReplay
-	if err := loadManifestInto(disk, agg, &rep); err != nil {
-		return nil, rep, err
-	}
-
-	// Shard journal reads go through the (stateful, fault-injected)
-	// disk sequentially; the pure salvage scan + decode of each journal
-	// then runs concurrently, share-nothing, and the results are applied
-	// in shard order — deterministic output, and the scan parallelism is
-	// real multi-shard work for the race detector.
-	var datas [][]byte
-	for i := 0; i < maxShardSlots; i++ {
-		path := ShardJournalPath(i)
-		if !disk.Exists(path) {
-			continue
-		}
-		//viplint:allow record-frame bytes reach record.Scan in the concurrent scan goroutines below
-		data, err := disk.Read(path)
-		if err != nil {
-			return nil, rep, err
-		}
-		datas = append(datas, data)
-	}
-	type decoded struct {
-		msg *WireMsg // nil on parse failure
-	}
-	type scanned struct {
-		recs []decoded
-		sal  record.Salvage
-	}
-	results := make([]scanned, len(datas))
-	var wg sync.WaitGroup
-	for idx, data := range datas {
-		wg.Add(1)
-		go func(idx int, data []byte) {
-			defer wg.Done()
-			recs, sal := record.Scan(data)
-			out := make([]decoded, len(recs))
-			for i, payload := range recs {
-				msg, err := DecodePayload(payload)
-				if err == nil {
-					out[i].msg = msg
-				}
-			}
-			results[idx] = scanned{recs: out, sal: sal}
-		}(idx, data)
-	}
-	wg.Wait()
-	for _, r := range results {
-		rep.Journals++
-		rep.Salvage.DroppedRecords += r.sal.DroppedRecords
-		rep.Salvage.DroppedBytes += r.sal.DroppedBytes
-		for _, d := range r.recs {
-			rep.applyDecoded(agg, d.msg)
-		}
-	}
-	return agg, rep, nil
-}
-
-// loadManifestInto replays the current compacted generation (if any)
-// into the aggregate: manifest first, then every file it names, each
-// through the salvage scan. A torn or unparseable manifest is marked
-// damaged (and its generation skipped — the journals still replay); an
-// EIO on the manifest or a generation file is an error.
-func loadManifestInto(disk *kernel.Disk, agg *Aggregate, rep *JournalReplay) error {
-	if !disk.Exists(ManifestPath) {
-		return nil
-	}
-	data, err := disk.Read(ManifestPath)
-	if err != nil {
-		return err
-	}
-	man, merr := parseManifest(data)
-	if merr != nil {
-		rep.ManifestDamaged = true
-		return nil
-	}
-	rep.ManifestGen = man.Gen
-	// Damage absorbed by past compactions is carried forward in the
-	// manifest, so pruned torn journals still count as loss here.
-	rep.Salvage.DroppedRecords += man.LostRecs
-	rep.Salvage.DroppedBytes += man.LostBytes
-	for _, mf := range man.Files {
-		data, err := disk.Read(mf.Path)
-		if err != nil {
-			return err
-		}
-		recs, sal := record.Scan(data)
-		rep.Salvage.DroppedRecords += sal.DroppedRecords
-		rep.Salvage.DroppedBytes += sal.DroppedBytes
-		rep.GenFiles++
-		rep.GenFrames += len(recs)
-		for _, payload := range recs {
-			rep.replayInto(agg, payload)
-		}
-	}
-	return nil
-}
-
-// loadJournalInto replays one shard journal into the aggregate.
-func loadJournalInto(disk *kernel.Disk, path string, agg *Aggregate, rep *JournalReplay) error {
-	if !disk.Exists(path) {
-		return nil
-	}
-	data, err := disk.Read(path)
-	if err != nil {
-		return err
-	}
-	rep.Journals++
-	recs, sal := record.Scan(data)
-	rep.Salvage.DroppedRecords += sal.DroppedRecords
-	rep.Salvage.DroppedBytes += sal.DroppedBytes
-	for _, payload := range recs {
-		rep.replayInto(agg, payload)
-	}
-	return nil
-}
-
-// loadBurnSet scans the durable store into a (host → seq) set without
-// building counts — the duplicate-suppression set a shard burns before
-// absorbing a dead peer's hosts or rejoining the serving set.
-func loadBurnSet(disk *kernel.Disk) (map[int]map[uint64]bool, error) {
-	agg, _, err := LoadStore(disk, 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]map[uint64]bool, len(agg.byHost))
-	for h, recs := range agg.byHost {
-		set := make(map[uint64]bool, len(recs))
-		for s := range recs {
-			set[s] = true
-		}
-		out[h] = set
-	}
-	return out, nil
+	return agg, st.replay(agg, st.files[st.gens:]), nil
 }
 
 // SpillReingest is the outcome of merging one host's parked spill file
@@ -659,6 +659,23 @@ type SpillReingest struct {
 	ReadError bool
 }
 
+// readHostSpill reads one host's spill file back: the parked delta and
+// map records addressed to the host, in file order, and the count of
+// intact records that are not (checksum-valid but unparseable, or
+// foreign).
+func readHostSpill(disk *kernel.Disk, host int) (f record.File, msgs []*WireMsg, bad int) {
+	f = record.ReadFile(disk, SpillPath(host))
+	for _, payload := range f.Recs {
+		msg, err := DecodePayload(payload)
+		if err != nil || (msg.Kind != KindDelta && msg.Kind != KindMap) || msg.Host != host {
+			bad++
+			continue
+		}
+		msgs = append(msgs, msg)
+	}
+	return f, msgs, bad
+}
+
 // ReingestSpills merges every host's parked spill records into the
 // aggregate — the fleet-level analogue of the startup spill merge:
 // because ingestion is seq-burned idempotent, re-offering a record
@@ -669,25 +686,9 @@ type SpillReingest struct {
 func ReingestSpills(disk *kernel.Disk, agg *Aggregate, hosts []int) []SpillReingest {
 	var out []SpillReingest
 	for _, host := range hosts {
-		ri := SpillReingest{Host: host}
-		if !disk.Exists(SpillPath(host)) {
-			out = append(out, ri)
-			continue
-		}
-		data, err := disk.Read(SpillPath(host))
-		if err != nil {
-			ri.ReadError = true
-			out = append(out, ri)
-			continue
-		}
-		recs, sal := record.Scan(data)
-		ri.Salvage = sal
-		for _, payload := range recs {
-			msg, derr := DecodePayload(payload)
-			if derr != nil || (msg.Kind != KindDelta && msg.Kind != KindMap) || msg.Host != host {
-				ri.ParseErrors++
-				continue
-			}
+		f, msgs, bad := readHostSpill(disk, host)
+		ri := SpillReingest{Host: host, ParseErrors: bad, Salvage: f.Salvage, ReadError: f.Unreadable}
+		for _, msg := range msgs {
 			if agg.Apply(msg) {
 				ri.Applied++
 			} else {

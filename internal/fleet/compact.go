@@ -88,12 +88,11 @@ func manifestPayload(man *Manifest) []byte {
 // reclaimed); no intact record, a malformed header, or a file-line
 // count that disagrees with the header is damage — the caller treats
 // the generation index as gone and falls back to the journals.
-func parseManifest(data []byte) (*Manifest, error) {
-	recs, _ := record.Scan(data)
-	if len(recs) == 0 {
+func parseManifest(f record.File) (*Manifest, error) {
+	payload, ok := f.Last()
+	if !ok {
 		return nil, fmt.Errorf("fleet: manifest has no intact record")
 	}
-	payload := recs[len(recs)-1]
 	lines := strings.Split(strings.TrimRight(string(payload), "\n"), "\n")
 	fields := strings.Fields(lines[0])
 	if len(fields) == 0 || fields[0] != "#manifest" {
@@ -210,7 +209,7 @@ type CompactResult struct {
 
 // storeContents is everything one compaction pass read.
 type storeContents struct {
-	man     *Manifest  // nil if never compacted
+	man     *Manifest // nil if never compacted
 	recs    []*DeltaRec
 	markers []*WireMsg // deduped restart markers
 	// journals are the journal paths that existed (the prune set);
@@ -225,92 +224,50 @@ type storeContents struct {
 // journal in shard order. An EIO or a damaged manifest aborts: a pass
 // must never build a generation from a store it could not fully read,
 // because committing it would prune files whose content it missed.
-// Checksum-valid records that fail to parse (a torn map frame's inner
-// fragments) are counted into the carried-forward loss instead.
+// Salvage loss in any file (in a generation file it is fresh damage) is
+// carried forward, and so is every checksum-valid record that fails to
+// parse: a torn map frame's inner entry records, loss evidence whose
+// never-acked record has its intact retry copy in the store.
 func collectStore(disk *kernel.Disk) (*storeContents, error) {
-	st := &storeContents{}
+	st, err := readStore(disk)
+	if err != nil {
+		return nil, err
+	}
+	if st.manErr != nil {
+		return nil, fmt.Errorf("fleet: compaction refused: %v", st.manErr)
+	}
+	sc := &storeContents{man: st.man}
+	if st.man != nil {
+		sc.lostRecs, sc.lostBytes = st.man.LostRecs, st.man.LostBytes
+	}
 	agg := NewAggregate(1)
 	markerSeen := make(map[[2]int]bool)
-	absorb := func(data []byte, countLoss bool) error {
-		recs, sal := record.Scan(data)
-		if countLoss {
-			st.lostRecs += sal.DroppedRecords
-			st.lostBytes += sal.DroppedBytes
+	for i, f := range st.files {
+		if i >= st.gens {
+			sc.journals = append(sc.journals, f.path)
 		}
-		for _, payload := range recs {
-			msg, err := DecodePayload(payload)
-			if err != nil {
-				// Checksum-valid but unparseable: the torn tail of a map
-				// frame sheds its inner entry records as intact-looking
-				// fragments (the map body is itself a framed stream). The
-				// torn record was never acked, so its intact retry copy is
-				// also in the store; the fragment is loss evidence to
-				// carry forward, not content.
-				if countLoss {
-					st.lostRecs++
-					st.lostBytes += len(payload)
-				}
-				continue
-			}
-			switch msg.Kind {
-			case KindDelta, KindMap:
-				agg.Apply(msg)
-			case KindRestart:
+		sc.lostRecs += f.Salvage.DroppedRecords
+		sc.lostBytes += f.Salvage.DroppedBytes
+		for j, msg := range f.msgs {
+			switch {
+			case msg == nil:
+				sc.lostRecs++
+				sc.lostBytes += len(f.Recs[j])
+			case msg.Kind == KindRestart:
 				key := [2]int{msg.Shard, msg.Attempt}
 				if !markerSeen[key] {
 					markerSeen[key] = true
-					st.markers = append(st.markers, msg)
+					sc.markers = append(sc.markers, msg)
 				}
+			default:
+				agg.Apply(msg)
 			}
-		}
-		return nil
-	}
-
-	if disk.Exists(ManifestPath) {
-		data, err := disk.Read(ManifestPath)
-		if err != nil {
-			return nil, err
-		}
-		man, merr := parseManifest(data)
-		if merr != nil {
-			return nil, fmt.Errorf("fleet: compaction refused: %v", merr)
-		}
-		st.man = man
-		st.lostRecs += man.LostRecs
-		st.lostBytes += man.LostBytes
-		for _, mf := range man.Files {
-			//viplint:allow record-frame bytes go through record.Scan inside the absorb closure below
-			data, err := disk.Read(mf.Path)
-			if err != nil {
-				return nil, err
-			}
-			// Generation files were written intact by a previous pass;
-			// any salvage loss inside them is fresh damage this pass
-			// must carry forward too.
-			if err := absorb(data, true); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i := 0; i < maxShardSlots; i++ {
-		path := ShardJournalPath(i)
-		if !disk.Exists(path) {
-			continue
-		}
-		//viplint:allow record-frame bytes go through record.Scan inside the absorb closure above
-		data, err := disk.Read(path)
-		if err != nil {
-			return nil, err
-		}
-		st.journals = append(st.journals, path)
-		if err := absorb(data, true); err != nil {
-			return nil, err
 		}
 	}
 	for _, h := range agg.Hosts() {
-		st.recs = append(st.recs, agg.Records(h)...)
+		sc.recs = append(sc.recs, agg.Records(h)...)
 	}
-	return st, nil
+	return sc, nil
 }
 
 // encodeRec re-frames one applied record canonically, so the same

@@ -313,3 +313,42 @@ func TestFleetMapReplication(t *testing.T) {
 		t.Fatalf("offline replay saw no generation: %+v", res.Replay)
 	}
 }
+
+// TestStrayAuditUsesReplayedManifest: the generation-directory audit
+// checks against the manifest the replay read. An EIO on any later
+// read of MANIFEST must not turn the committed generation files into
+// aborted-pass leftovers; and when the replay itself could not read
+// the manifest, that damage is the report — no file is called stray.
+func TestStrayAuditUsesReplayedManifest(t *testing.T) {
+	m := buildStore(t, 505, 3, 6, false)
+	disk := m.Kern.Disk()
+	if res, err := CompactDisk(disk); err != nil || !res.Committed || res.Files == 0 {
+		t.Fatalf("compaction: %+v, %v", res, err)
+	}
+	agg, rep, err := LoadStore(disk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := agg.Hosts()
+	if fi := AssembleIntegrity(disk, agg, rep, hosts, NetFaultStats{}); fi.StrayGenFiles != 0 || fi.Degraded() {
+		t.Fatalf("clean compacted store: stray=%d degraded=%v\n%s", fi.StrayGenFiles, fi.Degraded(), FormatFleetIntegrity(fi))
+	}
+
+	eio := kernel.ReadFaultPlan{PathPrefix: ManifestPath, Script: []int{0}}
+	disk.SetReadFaultInjector(eio)
+	fi := AssembleIntegrity(disk, agg, rep, hosts, NetFaultStats{})
+	disk.ClearReadFaultInjector()
+	if fi.StrayGenFiles != 0 || fi.Degraded() {
+		t.Errorf("manifest EIO after the replay: stray=%d degraded=%v\n%s", fi.StrayGenFiles, fi.Degraded(), FormatFleetIntegrity(fi))
+	}
+
+	disk.SetReadFaultInjector(eio)
+	_, rep, err = LoadStore(disk, 0)
+	disk.ClearReadFaultInjector()
+	if err == nil || rep.Manifest != nil {
+		t.Fatalf("manifest EIO during the replay: err=%v manifest=%v", err, rep.Manifest)
+	}
+	if fi := AssembleIntegrity(disk, agg, rep, hosts, NetFaultStats{}); fi.StrayGenFiles != 0 {
+		t.Errorf("unreadable manifest: %d files called stray", fi.StrayGenFiles)
+	}
+}

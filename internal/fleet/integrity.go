@@ -180,16 +180,12 @@ func (fi *FleetIntegrity) MissingTotal() int {
 func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hosts []int, net NetFaultStats) *FleetIntegrity {
 	fi := &FleetIntegrity{Journal: rep, Net: net}
 
-	if disk.Exists(CollectorStatsFile) {
-		// The last intact record wins.
-		if data, err := disk.Read(CollectorStatsFile); err != nil {
-			fi.CollectorUnreadable = true
-		} else if recs, _ := record.Scan(data); len(recs) > 0 {
-			var cs CollectorStats
-			if record.DecodeKV(recs[len(recs)-1], cs.Fields()) == nil {
-				fi.Collector = &cs
-			}
-		}
+	// The last intact record wins.
+	cf := record.ReadFile(disk, CollectorStatsFile)
+	fi.CollectorUnreadable = cf.Unreadable
+	var cs CollectorStats
+	if p, ok := cf.Last(); ok && record.DecodeKV(p, cs.Fields()) == nil {
+		fi.Collector = &cs
 	}
 	if disk.Exists(AggregateFile) {
 		if data, err := disk.Read(AggregateFile); err == nil {
@@ -203,36 +199,21 @@ func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hos
 
 	for _, host := range hosts {
 		hr := HostReport{Host: host}
-		if disk.Exists(SenderStatsPath(host)) {
-			// The last intact record wins.
-			if data, err := disk.Read(SenderStatsPath(host)); err != nil {
-				hr.StatsUnreadable = true
-			} else if recs, _ := record.Scan(data); len(recs) > 0 {
-				var ss SenderStats
-				if record.DecodeKV(recs[len(recs)-1], ss.Fields()) == nil {
-					hr.Stats = &ss
-				}
-			}
+		// The last intact record wins.
+		sf := record.ReadFile(disk, SenderStatsPath(host))
+		hr.StatsUnreadable = sf.Unreadable
+		var ss SenderStats
+		if p, ok := sf.Last(); ok && record.DecodeKV(p, ss.Fields()) == nil {
+			hr.Stats = &ss
 		}
+		f, msgs, bad := readHostSpill(disk, host)
+		hr.SpillSalvage, hr.SpillParse, hr.SpillUnreadable = f.Salvage, bad, f.Unreadable
 		spillSeqs := make(map[uint64]bool)
-		if disk.Exists(SpillPath(host)) {
-			if data, err := disk.Read(SpillPath(host)); err != nil {
-				hr.SpillUnreadable = true
-			} else {
-				recs, sal := record.Scan(data)
-				hr.SpillSalvage = sal
-				for _, payload := range recs {
-					msg, derr := DecodePayload(payload)
-					if derr != nil || (msg.Kind != KindDelta && msg.Kind != KindMap) || msg.Host != host {
-						hr.SpillParse++
-						continue
-					}
-					if !spillSeqs[msg.Seq] {
-						spillSeqs[msg.Seq] = true
-						hr.SpillSeqs = append(hr.SpillSeqs, msg.Seq)
-						hr.SpillSamples += msg.Total()
-					}
-				}
+		for _, msg := range msgs {
+			if !spillSeqs[msg.Seq] {
+				spillSeqs[msg.Seq] = true
+				hr.SpillSeqs = append(hr.SpillSeqs, msg.Seq)
+				hr.SpillSamples += msg.Total()
 			}
 		}
 		// A collector-side gap is explained if the host parked the seq
@@ -281,25 +262,23 @@ func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hos
 		}
 	}
 
-	// Generation-directory audit: any file the current manifest does not
-	// name is a leftover of an aborted compaction pass (a .tmp that was
-	// never renamed, a data file whose manifest commit never landed) —
-	// harmless to replay, loud as evidence.
+	// Generation-directory audit against the manifest the replay read:
+	// any file it does not name is a leftover of an aborted compaction
+	// pass (a .tmp that was never renamed, a data file whose manifest
+	// commit never landed) — harmless to replay, loud as evidence. A
+	// manifest the replay could not use is already reported (damaged,
+	// or the store unreadable); then no file can be called stray.
+	if rep.Manifest == nil && disk.Exists(ManifestPath) {
+		return fi
+	}
 	named := map[string]bool{ManifestPath: true}
-	if disk.Exists(ManifestPath) {
-		if data, err := disk.Read(ManifestPath); err == nil {
-			if man, merr := parseManifest(data); merr == nil {
-				for _, mf := range man.Files {
-					named[mf.Path] = true
-				}
-			}
+	if rep.Manifest != nil {
+		for _, mf := range rep.Manifest.Files {
+			named[mf.Path] = true
 		}
 	}
 	for _, path := range disk.List() {
-		if !strings.HasPrefix(path, GenDir+"/") {
-			continue
-		}
-		if !named[path] {
+		if strings.HasPrefix(path, GenDir+"/") && !named[path] {
 			fi.StrayGenFiles++
 		}
 	}

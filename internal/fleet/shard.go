@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"viprof/internal/kernel"
 	"viprof/internal/oprofile"
@@ -157,36 +158,41 @@ func (sh *Shard) ack(msg *WireMsg) {
 }
 
 // restart is the supervisor's recovery pass for one shard (the
-// core.RunRecovery shape): flush dead letters, replay the generation
-// store plus this shard's own journal into a fresh aggregate, burn the
-// full durable store into the handoff set, spawn a replacement process
-// pinned to the same core, and append a durable restart marker. An
-// error (store EIO) leaves the shard down for the supervisor to retry
-// under backoff.
+// core.RunRecovery shape): flush dead letters, read the store once,
+// replay the generation plus this shard's own journal into a fresh
+// aggregate, burn the full store into the handoff set, spawn a
+// replacement process pinned to the same core, and append a durable
+// restart marker. An error (store EIO) leaves the shard down for the
+// supervisor to retry under backoff.
 func (sh *Shard) restart(m *kernel.Machine) error {
 	c := sh.c
 	c.stats.Restarts++
 	c.stats.DeadLetters += uint64(c.net.Flush(ShardEndpoint(sh.idx)))
-	disk := m.Kern.Disk()
-	agg := NewAggregate(c.cfg.Shards)
-	var rep JournalReplay
-	if err := loadManifestInto(disk, agg, &rep); err != nil {
-		c.stats.ReplayErrors++
-		return err
-	}
-	if err := loadJournalInto(disk, ShardJournalPath(sh.idx), agg, &rep); err != nil {
-		c.stats.ReplayErrors++
-		return err
-	}
-	// Handoff burn: every (host, seq) anywhere in the durable store —
-	// peers' journals included — is re-ack-only here. An unreadable
-	// peer journal aborts the rejoin; serving blind would risk
-	// double-applying a record the peer already owns.
-	burn, err := loadBurnSet(disk)
+	// One read of the whole store. An EIO on the generation or this
+	// shard's own journal is a replay error; on a peer's journal it
+	// aborts the handoff burn — serving blind would risk double-applying
+	// a record the peer already owns.
+	own := ShardJournalPath(sh.idx)
+	st, err := readStore(m.Kern.Disk())
 	if err != nil {
-		c.stats.HandoffErrors++
+		if strings.HasPrefix(st.failed, JournalPrefix) && st.failed != own {
+			c.stats.HandoffErrors++
+		} else {
+			c.stats.ReplayErrors++
+		}
 		return err
 	}
+	var mine []storeFile
+	for _, f := range st.files[st.gens:] {
+		if f.path == own {
+			mine = append(mine, f)
+		}
+	}
+	agg := NewAggregate(c.cfg.Shards)
+	rep := st.replay(agg, mine)
+	// Handoff burn: every (host, seq) anywhere in the durable store —
+	// peers' journals included — is re-ack-only here.
+	burn := st.burnSet()
 	for h, seqs := range burn {
 		for s := range seqs {
 			if !agg.Applied(h, s) {
@@ -318,11 +324,12 @@ func (c *Collector) RouteEndpoint(host int) int {
 // unreadable journal aborts the whole transition (no peer absorbs the
 // hosts blind); the supervisor retries on its next tick.
 func (c *Collector) failover(m *kernel.Machine, dead *Shard) error {
-	burn, err := loadBurnSet(m.Kern.Disk())
+	st, err := readStore(m.Kern.Disk())
 	if err != nil {
 		c.stats.HandoffErrors++
 		return err
 	}
+	burn := st.burnSet()
 	for _, p := range c.shards {
 		if p == dead || !p.serving {
 			continue

@@ -304,6 +304,8 @@ type FleetChaosResult struct {
 	Seed     int64
 	Schedule FleetSchedule
 	Result   *fleet.FleetResult
+	// Machine is the collector machine; its disk is the store.
+	Machine *kernel.Machine
 	// Injector accounting: disk write/rename faults, listing damage,
 	// and read EIOs (the network's own counters are in Result.Net).
 	Faults     kernel.FaultStats
@@ -366,6 +368,7 @@ func RunFleetChaosSchedule(seed int64, sched FleetSchedule) (*FleetChaosResult, 
 		Seed:       seed,
 		Schedule:   sched,
 		Result:     res,
+		Machine:    machine,
 		Faults:     machine.Kern.FaultStats(),
 		ListFaults: listStats,
 		ReadFaults: readStats,

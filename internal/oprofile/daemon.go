@@ -348,7 +348,7 @@ func (d *Daemon) spillExcess(m *kernel.Machine, order []Key) {
 	for _, k := range tail {
 		total += d.dirty[k]
 	}
-	if err := m.Kern.SysWrite(d.proc, DaemonJournalFile, journalSpillCommit(seq, total)); err != nil {
+	if err := m.Kern.SysWrite(d.proc, DaemonJournalFile, record.CommitFrame(SpillCommitVerb, seq, total)); err != nil {
 		if errors.Is(err, kernel.ErrCrashed) {
 			d.crashed = true
 			d.stopped = true

@@ -54,11 +54,16 @@ const DaemonJournalFile = "var/lib/oprofile/oprofiled.journal"
 // loses at most this many keys' worth of parked samples.
 const spillChunkKeys = 48
 
-// spillHeader / journal record verbs.
+// spillHeaderPrefix opens every spill frame's payload.
+const spillHeaderPrefix = "#spill "
+
+// The daemon journal's record.Journal layout: a "spill <seq> <samples>"
+// commit per ratified spill batch, and a bare marker the recovery pass
+// appends before doing anything, so a recovery that dies leaves
+// durable evidence it started.
 const (
-	spillHeaderPrefix    = "#spill "
-	journalSpillPrefix   = "spill "
-	journalRecoveryBegin = "recovery-begin"
+	SpillCommitVerb     = "spill"
+	RecoveryBeginMarker = "recovery-begin"
 )
 
 // buildSpillFrames serializes counts for the given keys into framed
@@ -78,19 +83,6 @@ func buildSpillFrames(seq uint64, counts map[Key]uint64, order []Key) ([]byte, e
 		out.Write(record.Frame(payload.Bytes()))
 	}
 	return out.Bytes(), nil
-}
-
-// journalSpillCommit formats the framed journal record ratifying one
-// spill sequence.
-func journalSpillCommit(seq, samples uint64) []byte {
-	return record.Frame([]byte(fmt.Sprintf("%s%d %d", journalSpillPrefix, seq, samples)))
-}
-
-// JournalRecoveryBegin formats the framed marker the recovery pass
-// appends before doing anything, so a recovery that dies leaves
-// durable evidence it started.
-func JournalRecoveryBegin() []byte {
-	return record.Frame([]byte(journalRecoveryBegin))
 }
 
 // spillFrame is one parsed spill record.
@@ -116,65 +108,6 @@ func parseSpillFrame(payload []byte) (spillFrame, error) {
 	return spillFrame{seq: seq, counts: counts}, nil
 }
 
-// DaemonJournal is the parsed daemon-side commit journal.
-type DaemonJournal struct {
-	// Committed maps ratified spill sequence numbers to the sample
-	// total their commit record claimed.
-	Committed map[uint64]uint64
-	// RecoveryBegun counts recovery-begin markers (one per recovery
-	// attempt that got its marker to disk).
-	RecoveryBegun int
-	// Damaged reports salvage loss or unparseable records — the
-	// journal cannot be fully trusted.
-	Damaged bool
-	// Missing reports that the journal file does not exist at all.
-	Missing bool
-	// Unreadable reports an EIO reading the journal back (Damaged is
-	// set too): no commit can be verified.
-	Unreadable bool
-}
-
-// ReadDaemonJournal parses the journal through the salvage layer.
-func ReadDaemonJournal(disk *kernel.Disk) DaemonJournal {
-	j := DaemonJournal{Committed: make(map[uint64]uint64)}
-	if !disk.Exists(DaemonJournalFile) {
-		j.Missing = true
-		return j
-	}
-	data, err := disk.Read(DaemonJournalFile)
-	if err != nil {
-		j.Damaged, j.Unreadable = true, true
-		return j
-	}
-	recs, sal := record.Scan(data)
-	if sal.Lossy() {
-		j.Damaged = true
-	}
-	for _, payload := range recs {
-		s := string(payload)
-		switch {
-		case s == journalRecoveryBegin:
-			j.RecoveryBegun++
-		case strings.HasPrefix(s, journalSpillPrefix):
-			fields := strings.Fields(strings.TrimPrefix(s, journalSpillPrefix))
-			if len(fields) != 2 {
-				j.Damaged = true
-				continue
-			}
-			seq, err1 := strconv.ParseUint(fields[0], 10, 64)
-			n, err2 := strconv.ParseUint(fields[1], 10, 64)
-			if err1 != nil || err2 != nil {
-				j.Damaged = true
-				continue
-			}
-			j.Committed[seq] = n
-		default:
-			j.Damaged = true
-		}
-	}
-	return j
-}
-
 // SpillState is the offline view of what is parked in the spill file:
 // which frames the journal ratified, what they hold, and what must be
 // ignored. Both the recovery pass and the integrity assembly use it.
@@ -187,7 +120,7 @@ type SpillState struct {
 	// whether the journal ratified their sequence number.
 	FramesCommitted, FramesUncommitted int
 	// Journal is the parsed commit journal.
-	Journal DaemonJournal
+	Journal record.Journal
 	// Salvage is the spill file's own damage accounting.
 	Salvage record.Salvage
 	// Unreadable reports an EIO reading the spill file back.
@@ -197,18 +130,11 @@ type SpillState struct {
 // ReadSpillState reads the spill file and journal back through the
 // salvage layer. A missing spill file is an empty (clean) state.
 func ReadSpillState(disk *kernel.Disk) SpillState {
-	st := SpillState{OnDisk: make(map[Key]uint64), Journal: ReadDaemonJournal(disk)}
-	if !disk.Exists(SpillFile) {
-		return st
-	}
-	data, err := disk.Read(SpillFile)
-	if err != nil {
-		st.Unreadable = true
-		return st
-	}
-	recs, sal := record.Scan(data)
-	st.Salvage = sal
-	for _, payload := range recs {
+	// The journal is read first: the read-fault schedule is ordered.
+	journal := record.ReadJournal(disk, DaemonJournalFile, SpillCommitVerb, RecoveryBeginMarker)
+	f := record.ReadFile(disk, SpillFile)
+	st := SpillState{OnDisk: make(map[Key]uint64), Journal: journal, Salvage: f.Salvage, Unreadable: f.Unreadable}
+	for _, payload := range f.Recs {
 		fr, err := parseSpillFrame(payload)
 		if err != nil {
 			// Checksum-valid but unparseable: count it as damage rather
