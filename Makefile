@@ -3,8 +3,9 @@
 # see DESIGN.md §11), static vetting, a full build, the race-enabled
 # short test suite, a bounded chaos sweep (seeded fault schedules
 # against the persistence layer, conservation invariants checked end to
-# end), short fuzz runs of the stats-record decoder and the
-# commit-journal reader, and one iteration of the engine
+# end), short fuzz runs of the stats-record decoder, the
+# commit-journal reader, the sample-line parser and the code-map entry
+# parser, and one iteration of the engine
 # microbenchmarks (which self-verify that the batched, fused-trace,
 # and per-op paths agree, and that the flattened epoch index matches
 # the backward scan).
@@ -76,9 +77,18 @@ fleet-smoke:
 # the golden daemon and agent journal frames plus torn and byte-flipped
 # variants: no panic, every ratified key comes from an intact record
 # that parses, and salvage loss or an unparseable record is damage.
+# Then the two per-record text decoders every read path calls, each
+# against its replaced implementation kept in the test as the oracle:
+# the sample-line parser (internal/oprofile/sample.go) must give the
+# same error text or the same counts as the Scanner-based one, and the
+# code-map entry parser (internal/core/codemap.go) may only reject what
+# the Sscanf-based one read, never read it differently, and must accept
+# every map a writer could emit that the oracle reads.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKV$$' -fuzztime 5s ./internal/record
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 5s ./internal/record
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCountsText$$' -fuzztime 5s ./internal/oprofile
+	$(GO) test -run '^$$' -fuzz '^FuzzMapEntries$$' -fuzztime 5s ./internal/core
 
 # Wide composed-schedule sweep (hundreds of seeds, minutes). Out of
 # `make check` by design: run it nightly or before cutting a release.

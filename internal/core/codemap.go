@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"viprof/internal/addr"
 	"viprof/internal/kernel"
@@ -99,27 +101,56 @@ func salvageMapData(data []byte) (entries []MapEntry, sal record.Salvage, traile
 		if text == "" {
 			continue
 		}
-		if strings.HasPrefix(text, "#end ") {
-			var n int
-			if c, serr := fmt.Sscanf(text, "#end %d", &n); c != 1 || serr != nil {
+		if count, ok := strings.CutPrefix(text, "#end "); ok {
+			n, perr := strconv.Atoi(count)
+			if perr != nil {
 				return nil, sal, false, fmt.Errorf("code map: bad trailer %q", text)
 			}
 			trailer = n
 			continue
 		}
-		var start uint64
-		var size uint32
-		var epoch int
-		var level, sig string
-		if _, serr := fmt.Sscanf(text, "%x %d %d %s %s", &start, &size, &epoch, &level, &sig); serr != nil {
-			return nil, sal, false, fmt.Errorf("code map entry %q: %v", text, serr)
+		e, perr := parseMapEntry(text)
+		if perr != nil {
+			return nil, sal, false, fmt.Errorf("code map entry %q: %v", text, perr)
 		}
-		entries = append(entries, MapEntry{
-			Start: addr.Address(start), Size: size, Epoch: epoch, Level: level, Sig: sig,
-		})
+		entries = append(entries, e)
 	}
 	trailerOK = trailer == len(entries)
 	return entries, sal, trailerOK, nil
+}
+
+// parseMapEntry decodes one entry line as WriteMapFile writes it: five
+// fields separated by single spaces. Level and Sig are substrings of
+// text. A name that is empty, not UTF-8, or holds whitespace is
+// rejected: no writer emits one that reads back unchanged.
+func parseMapEntry(text string) (MapEntry, error) {
+	var f [5]string
+	for i := 0; i < len(f)-1; i++ {
+		field, rest, ok := strings.Cut(text, " ")
+		if !ok {
+			return MapEntry{}, fmt.Errorf("%d fields, want %d", i+1, len(f))
+		}
+		f[i], text = field, rest
+	}
+	f[len(f)-1] = text
+	start, err := strconv.ParseUint(f[0], 16, 64)
+	if err != nil {
+		return MapEntry{}, err
+	}
+	size, err := strconv.ParseUint(f[1], 10, 32)
+	if err != nil {
+		return MapEntry{}, err
+	}
+	epoch, err := strconv.Atoi(f[2])
+	if err != nil {
+		return MapEntry{}, err
+	}
+	for _, name := range f[3:] {
+		if name == "" || !utf8.ValidString(name) || strings.IndexFunc(name, unicode.IsSpace) >= 0 {
+			return MapEntry{}, fmt.Errorf("bad name field %q", name)
+		}
+	}
+	return MapEntry{Start: addr.Address(start), Size: uint32(size), Epoch: epoch, Level: f[3], Sig: f[4]}, nil
 }
 
 // ChainIntegrity sums the damage found while loading one process's map

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"viprof/internal/addr"
@@ -11,6 +12,7 @@ import (
 	"viprof/internal/hpc"
 	"viprof/internal/kernel"
 	"viprof/internal/oprofile"
+	"viprof/internal/record"
 )
 
 func newTestMachine(seed int64) *kernel.Machine {
@@ -74,6 +76,63 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(frame, again) {
 		t.Fatalf("DeltaFrame not deterministic")
 	}
+}
+
+// goldenDelta is one wire delta payload as DeltaFrame writes it: a
+// header and 23 sample lines, over three file images and JIT code in
+// three epochs.
+const goldenDelta = "#delta host=3 seq=41 at=7500\n" +
+	"0\t1\t1\t4288\t2\t0\thost03\tJIT.App\n" +
+	"0\t1\t1\t4400\t4\t0\thost03\tJIT.App\n" +
+	"0\t0\t0\t4200\t5\t0\thost03\tfleet.app\n" +
+	"0\t0\t0\t4408\t2\t0\thost03\tfleet.app\n" +
+	"0\t0\t0\t4424\t2\t0\thost03\tfleet.app\n" +
+	"0\t0\t0\t4456\t3\t0\thost03\tfleet.app\n" +
+	"0\t0\t0\t4496\t2\t0\thost03\tfleet.app\n" +
+	"0\t0\t0\t4504\t1\t0\thost03\tfleet.app\n" +
+	"0\t0\t0\t4104\t4\t0\thost03\tlibfleet.so\n" +
+	"0\t0\t0\t4360\t3\t0\thost03\tlibfleet.so\n" +
+	"0\t0\t0\t4368\t3\t0\thost03\tvmlinux\n" +
+	"0\t0\t0\t4528\t2\t0\thost03\tvmlinux\n" +
+	"0\t0\t0\t4552\t5\t0\thost03\tvmlinux\n" +
+	"0\t0\t0\t4560\t1\t0\thost03\tvmlinux\n" +
+	"1\t1\t2\t4136\t1\t0\thost03\tJIT.App\n" +
+	"1\t1\t2\t4456\t1\t0\thost03\tJIT.App\n" +
+	"1\t1\t3\t4352\t4\t0\thost03\tJIT.App\n" +
+	"1\t1\t3\t4544\t4\t0\thost03\tJIT.App\n" +
+	"1\t0\t0\t4368\t3\t0\thost03\tfleet.app\n" +
+	"1\t0\t0\t4568\t1\t0\thost03\tlibfleet.so\n" +
+	"1\t0\t0\t4128\t1\t0\thost03\tvmlinux\n" +
+	"1\t0\t0\t4136\t7\t0\thost03\tvmlinux\n" +
+	"1\t0\t0\t4496\t1\t0\thost03\tvmlinux\n"
+
+// Decoding a delta allocates O(its size): within 16 bytes per payload
+// byte plus 8 KiB, the decoded counts map included. Re-encoding the
+// decoded delta reproduces the golden bytes.
+func TestDecodePayloadAllocBudget(t *testing.T) {
+	payload := []byte(goldenDelta)
+	msg, err := DecodePayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := DeltaFrame(msg.Host, msg.Seq, msg.At, msg.Counts)
+	if err != nil || !bytes.Equal(frame, record.Frame(payload)) {
+		t.Fatalf("delta does not re-encode to the golden bytes (%v)", err)
+	}
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := DecodePayload(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / n
+	if budget := uint64(16*len(payload) + 8<<10); got > budget {
+		t.Errorf("DecodePayload allocates %d B per %d-byte delta, budget %d", got, len(payload), budget)
+	}
+	t.Logf("DecodePayload: %d B per %d-byte delta", got, len(payload))
 }
 
 func TestWireRejectsDamage(t *testing.T) {

@@ -11,7 +11,6 @@ package oprofile
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -164,26 +163,51 @@ func ReadCountsSalvage(data []byte) (map[Key]uint64, record.Salvage, error) {
 // handle the framing: the sample-file readers, spill frames, and the
 // fleet wire protocol, which ships one WriteCounts body per framed
 // delta record.
+//
+// The payload becomes one string per call and every field is a
+// substring of it; Image and Proc are interned through a per-call
+// table of copies, so a decoded Key never pins the payload and a
+// payload costs O(its size) in allocation, whatever its line count.
+// Lines split as bufio.ScanLines splits them (one trailing '\r' is
+// dropped; empty lines are skipped but numbered), and a line of
+// maxSampleLine bytes or more fails with bufio.ErrTooLong.
 func ParseCountsText(data []byte, counts map[Key]uint64) error {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
+	names := make(map[string]string)
+	intern := func(s string) string {
+		if c, ok := names[s]; ok {
+			return c
+		}
+		c := strings.Clone(s)
+		names[c] = c
+		return c
+	}
+	rest := string(data)
+	for line := 1; rest != ""; line++ {
+		var text string
+		text, rest, _ = strings.Cut(rest, "\n")
+		if len(text) >= maxSampleLine {
+			return bufio.ErrTooLong
+		}
+		text = strings.TrimSuffix(text, "\r")
 		if text == "" {
 			continue
 		}
-		parts := strings.SplitN(text, "\t", 8)
-		if len(parts) != 8 {
-			return fmt.Errorf("oprofile: sample line %d: %d fields", line, len(parts))
+		// The image goes last and keeps any further tabs.
+		var f [8]string
+		for i := 0; i < len(f)-1; i++ {
+			field, after, ok := strings.Cut(text, "\t")
+			if !ok {
+				return fmt.Errorf("oprofile: sample line %d: %d fields", line, i+1)
+			}
+			f[i], text = field, after
 		}
-		ev, err1 := strconv.Atoi(parts[0])
-		jit, err2 := strconv.Atoi(parts[1])
-		epoch, err3 := strconv.Atoi(parts[2])
-		off, err4 := strconv.ParseUint(parts[3], 10, 64)
-		cnt, err5 := strconv.ParseUint(parts[4], 10, 64)
-		cpu, err6 := strconv.Atoi(parts[5])
+		f[len(f)-1] = text
+		ev, err1 := strconv.Atoi(f[0])
+		jit, err2 := strconv.Atoi(f[1])
+		epoch, err3 := strconv.Atoi(f[2])
+		off, err4 := strconv.ParseUint(f[3], 10, 64)
+		cnt, err5 := strconv.ParseUint(f[4], 10, 64)
+		cpu, err6 := strconv.Atoi(f[5])
 		for _, err := range []error{err1, err2, err3, err4, err5, err6} {
 			if err != nil {
 				return fmt.Errorf("oprofile: sample line %d: %v", line, err)
@@ -191,8 +215,8 @@ func ParseCountsText(data []byte, counts map[Key]uint64) error {
 		}
 		k := Key{
 			Event: hpc.Event(ev),
-			Image: parts[7],
-			Proc:  parts[6],
+			Image: intern(f[7]),
+			Proc:  intern(f[6]),
 			JIT:   jit != 0,
 			Epoch: epoch,
 			CPU:   cpu,
@@ -200,5 +224,8 @@ func ParseCountsText(data []byte, counts map[Key]uint64) error {
 		}
 		counts[k] += cnt
 	}
-	return sc.Err()
+	return nil
 }
+
+// maxSampleLine bounds one sample line, '\r' included.
+const maxSampleLine = 1 << 20
