@@ -6,9 +6,9 @@
 # end), short fuzz runs of the stats-record decoder, the
 # commit-journal reader, the sample-line parser and the code-map entry
 # parser, and one iteration of the engine
-# microbenchmarks (which self-verify that the batched, fused-trace,
-# and per-op paths agree, and that the flattened epoch index matches
-# the backward scan).
+# microbenchmarks with their allocation counts (which self-verify that
+# the batched, fused-trace, and per-op paths agree, and that the
+# flattened epoch index matches the backward scan).
 
 GO ?= go
 
@@ -98,8 +98,11 @@ chaos-nightly:
 	VIPROF_CHAOS_SEEDS=500 $(GO) test -race -run 'TestChaosNightly' -count=1 -timeout 30m ./internal/core/
 	VIPROF_FLEET_SEEDS=300 $(GO) test -race -run 'TestFleetChaosNightly' -count=1 -timeout 30m ./internal/harness/
 
+# One iteration of each engine microbenchmark, with -benchmem so the CI
+# log shows allocs/op and B/op next to ns/op (BenchmarkSMPScaling and
+# BenchmarkFleetIngest are where a host-allocation regression shows).
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkExecMemBatch|BenchmarkTraceBatch|BenchmarkEpochResolveIndexed|BenchmarkFleetIngest|BenchmarkSMPScaling' -benchtime 1x .
+	$(GO) test -race -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkExecMemBatch|BenchmarkTraceBatch|BenchmarkEpochResolveIndexed|BenchmarkFleetIngest|BenchmarkSMPScaling' -benchtime 1x -benchmem .
 
 # Full reduced-scale benchmark sweep (minutes).
 bench:

@@ -12,26 +12,69 @@ package cache
 // private L1s — which is what per-core attribution needs to make
 // cross-core costs visible; it is not a full MESI state machine.
 
-import "viprof/internal/addr"
+import (
+	"fmt"
+
+	"viprof/internal/addr"
+)
 
 // Directory is the shared write-ownership map. One Directory is shared
 // by all Hierarchies of an SMP machine (it lives logically beside the
 // shared L2).
+//
+// Ownership is paged: each page holds owner+1 for dirPageLines
+// consecutive lines (0 means no owner), and a one-entry cache remembers
+// the last page touched, so the common run of accesses within one page
+// costs no map lookup and a store to an already-paged line allocates
+// nothing. An owner takes two bytes, so core ids must be below 65535,
+// which no buildable machine reaches.
 type Directory struct {
 	lineBits  uint
-	owner     map[uint64]int
+	pages     map[uint64]*dirPage // line >> dirPageBits -> page
+	lastKey   uint64
+	last      *dirPage // pages[lastKey], or nil
 	transfers uint64
 }
+
+const (
+	dirPageBits  = 12
+	dirPageLines = 1 << dirPageBits
+)
+
+type dirPage [dirPageLines]uint16
 
 // NewDirectory returns an empty directory tracking ownership at the
 // given line granularity (use the shared L2's line bits).
 func NewDirectory(lineBits uint) *Directory {
-	return &Directory{lineBits: lineBits, owner: make(map[uint64]int)}
+	return &Directory{lineBits: lineBits, pages: make(map[uint64]*dirPage)}
+}
+
+// page returns the page holding line, allocating it if create is set;
+// without create a missing page is nil.
+func (d *Directory) page(line uint64, create bool) *dirPage {
+	key := line >> dirPageBits
+	if d.last != nil && d.lastKey == key {
+		return d.last
+	}
+	p := d.pages[key]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(dirPage)
+		d.pages[key] = p
+	}
+	d.last, d.lastKey = p, key
+	return p
 }
 
 // MarkWrite records that core last wrote the line holding a.
 func (d *Directory) MarkWrite(a addr.Address, core int) {
-	d.owner[uint64(a)>>d.lineBits] = core
+	if uint(core) >= 1<<16-1 {
+		panic(fmt.Sprintf("cache: coherency directory: core id %d out of range", core))
+	}
+	line := uint64(a) >> d.lineBits
+	d.page(line, true)[line&(dirPageLines-1)] = uint16(core + 1)
 }
 
 // Transfer reports whether an access to a by core hits a line last
@@ -41,11 +84,15 @@ func (d *Directory) MarkWrite(a addr.Address, core int) {
 // same line after an L1 eviction does not pay again.
 func (d *Directory) Transfer(a addr.Address, core int) bool {
 	line := uint64(a) >> d.lineBits
-	own, ok := d.owner[line]
-	if !ok || own == core {
+	p := d.page(line, false)
+	if p == nil {
 		return false
 	}
-	delete(d.owner, line)
+	own := &p[line&(dirPageLines-1)]
+	if *own == 0 || int(*own)-1 == core {
+		return false
+	}
+	*own = 0
 	d.transfers++
 	return true
 }

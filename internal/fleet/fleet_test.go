@@ -435,3 +435,33 @@ func TestFleetCollectorCrashRecovery(t *testing.T) {
 		t.Fatal("journal carries no restart marker evidence")
 	}
 }
+
+// The wire order is a strict total order over every Key field: for
+// distinct keys exactly one of less(a,b) and less(b,a) holds, so the
+// same delta always serializes to the same bytes.
+func TestWireKeyLessTotalOrder(t *testing.T) {
+	var keys []oprofile.Key
+	for bits := 0; bits < 1<<7; bits++ {
+		b := func(i int) int { return bits >> i & 1 }
+		keys = append(keys, oprofile.Key{
+			Event: hpc.Event(b(0)),
+			Image: []string{"libfleet.so", oprofile.JITImageName}[b(1)],
+			Proc:  []string{"host01", "host02"}[b(2)],
+			JIT:   b(3) == 1,
+			Epoch: b(4),
+			CPU:   b(5),
+			Off:   addr.Address(0x40 * b(6)),
+		})
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			ab, ba := wireKeyLess(a, b), wireKeyLess(b, a)
+			if a == b && (ab || ba) {
+				t.Fatalf("wireKeyLess(%+v, itself) = true", a)
+			}
+			if a != b && ab == ba {
+				t.Fatalf("wireKeyLess(%+v, %+v) = %v both ways", a, b, ab)
+			}
+		}
+	}
+}

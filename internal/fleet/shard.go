@@ -491,15 +491,11 @@ func (c *Collector) Finalize(m *kernel.Machine) {
 	}
 	counts := c.Aggregate().Counts()
 	var buf bytes.Buffer
-	if err := oprofile.WriteCounts(&buf, counts, sortedKeys(counts)); err == nil {
-		frame := record.Frame(buf.Bytes())
-		tmp := AggregateFile + ".tmp"
-		if err := m.Kern.SysWriteSync(proc, tmp, frame); err != nil {
-			c.stats.SnapshotErrors++
-		} else if err := m.Kern.SysRename(proc, tmp, AggregateFile); err != nil {
-			c.stats.SnapshotErrors++
-		}
-	} else {
+	oprofile.WriteCounts(&buf, counts, sortedKeys(counts))
+	tmp := AggregateFile + ".tmp"
+	if err := m.Kern.SysWriteSync(proc, tmp, record.Frame(buf.Bytes())); err != nil {
+		c.stats.SnapshotErrors++
+	} else if err := m.Kern.SysRename(proc, tmp, AggregateFile); err != nil {
 		c.stats.SnapshotErrors++
 	}
 	if proc.Killed() {

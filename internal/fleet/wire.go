@@ -73,42 +73,46 @@ func (m *WireMsg) Total() uint64 {
 }
 
 // sortedKeys returns the counts' keys in a deterministic total order
-// (keyLess plus the proc/jit fields it does not compare), so the same
-// delta always serializes to the same bytes.
+// over every Key field, so the same delta always serializes to the
+// same bytes.
 func sortedKeys(counts map[oprofile.Key]uint64) []oprofile.Key {
 	order := make([]oprofile.Key, 0, len(counts))
 	for k := range counts {
 		order = append(order, k)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Event != b.Event {
-			return a.Event < b.Event
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		if a.Image != b.Image {
-			return a.Image < b.Image
-		}
-		if a.JIT != b.JIT {
-			return !a.JIT
-		}
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		return a.Off < b.Off
-	})
+	sort.Slice(order, func(i, j int) bool { return wireKeyLess(order[i], order[j]) })
 	return order
+}
+
+// wireKeyLess orders keys by event, proc, image, jit, epoch and offset,
+// with CPU last as the tie-breaker.
+func wireKeyLess(a, b oprofile.Key) bool {
+	if a.Event != b.Event {
+		return a.Event < b.Event
+	}
+	if a.Proc != b.Proc {
+		return a.Proc < b.Proc
+	}
+	if a.Image != b.Image {
+		return a.Image < b.Image
+	}
+	if a.JIT != b.JIT {
+		return !a.JIT
+	}
+	if a.Epoch != b.Epoch {
+		return a.Epoch < b.Epoch
+	}
+	if a.Off != b.Off {
+		return a.Off < b.Off
+	}
+	return a.CPU < b.CPU
 }
 
 // DeltaFrame builds the framed wire record for one sample delta.
 func DeltaFrame(host int, seq, at uint64, counts map[oprofile.Key]uint64) ([]byte, error) {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "#%s host=%d seq=%d at=%d\n", KindDelta, host, seq, at)
-	if err := oprofile.WriteCounts(&buf, counts, sortedKeys(counts)); err != nil {
-		return nil, err
-	}
+	oprofile.WriteCounts(&buf, counts, sortedKeys(counts))
 	return record.Frame(buf.Bytes()), nil
 }
 

@@ -11,6 +11,7 @@ package gc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"viprof/internal/addr"
 )
@@ -117,6 +118,16 @@ type Heap struct {
 	roots   func() []*Object
 	hooks   Hooks
 
+	// Host storage recycled from the objects collections freed: zeroed
+	// headers, and Refs/Scalars backing arrays bucketed by power-of-two
+	// capacity (bucket k holds arrays of capacity >= 1<<k). Alloc draws
+	// on them before making new ones, so host memory follows the live
+	// simulated heap rather than the total allocated.
+	freeObjs    []*Object
+	freeRefs    [bits.UintSize][][]*Object
+	freeScalars [bits.UintSize][][]int64
+	markStack   []*Object // reused across collections
+
 	epoch       int
 	collections int
 	allocated   uint64 // lifetime bytes allocated
@@ -126,6 +137,8 @@ type Heap struct {
 
 // NewHeap creates a heap over [base, base+size): the first half is the
 // mature space, the second half holds the two nursery semispaces.
+// Collect reads the slice roots returns only while marking, so the
+// provider may reuse one buffer across calls.
 func NewHeap(base addr.Address, size uint64, roots func() []*Object, hooks Hooks) (*Heap, error) {
 	if size < 8*1024 || size%4 != 0 {
 		return nil, fmt.Errorf("gc: heap size %d too small or not divisible by 4", size)
@@ -183,7 +196,8 @@ func (h *Heap) Used() uint64 { return uint64(h.next - h.fromBase) }
 // Alloc allocates an object. sizeBytes is the payload size; the header
 // is added internally and the total rounded up to 16 bytes. If the
 // semispace is exhausted a collection runs first; if space is still
-// insufficient, Alloc fails (OutOfMemoryError).
+// insufficient, Alloc fails (OutOfMemoryError). The object's slots are
+// all zero; its host storage may be a freed object's, recycled.
 func (h *Heap) Alloc(kind Kind, sizeBytes uint32, nrefs, nscalars int) (*Object, error) {
 	total := uint64(sizeBytes) + HeaderBytes
 	total = (total + 15) &^ 15
@@ -194,17 +208,18 @@ func (h *Heap) Alloc(kind Kind, sizeBytes uint32, nrefs, nscalars int) (*Object,
 				total, h.half-h.Used(), h.half)
 		}
 	}
-	o := &Object{
-		Addr: h.next,
-		Size: uint32(total),
-		Kind: kind,
+	var o *Object
+	if n := len(h.freeObjs); n > 0 {
+		o = h.freeObjs[n-1]
+		h.freeObjs = h.freeObjs[:n-1]
+	} else {
+		o = new(Object)
 	}
-	if nrefs > 0 {
-		o.Refs = make([]*Object, nrefs)
-	}
-	if nscalars > 0 {
-		o.Scalars = make([]int64, nscalars)
-	}
+	o.Addr = h.next
+	o.Size = uint32(total)
+	o.Kind = kind
+	o.Refs = take(&h.freeRefs, nrefs)
+	o.Scalars = take(&h.freeScalars, nscalars)
 	h.next += addr.Address(total)
 	h.allocated += total
 	h.objects = append(h.objects, o)
@@ -224,7 +239,7 @@ func (h *Heap) Collect() CollectStats {
 	var stats CollectStats
 
 	// Mark phase: trace from roots.
-	var stack []*Object
+	stack := h.markStack[:0]
 	if h.roots != nil {
 		for _, r := range h.roots() {
 			if r != nil && !r.marked {
@@ -245,6 +260,7 @@ func (h *Heap) Collect() CollectStats {
 			}
 		}
 	}
+	h.markStack = stack
 	if h.hooks.Work != nil {
 		h.hooks.Work("trace", traced+1)
 	}
@@ -252,13 +268,19 @@ func (h *Heap) Collect() CollectStats {
 	// Copy phase: survivors either tenure into the mature space (at
 	// MatureAge, if it has room) or copy to the to-space in allocation
 	// order, which preserves rough locality as a real collector's
-	// Cheney scan does. Mature objects stay put.
+	// Cheney scan does. Mature objects stay put. A freed data or array
+	// object's host storage is recycled; code objects are not, since
+	// their jit.CodeBody (and the agent's moved-method tracking) may
+	// still hold them.
 	next := h.toBase
 	live := h.objects[:0]
 	for _, o := range h.objects {
 		if !o.marked {
 			stats.Freed++
 			stats.FreedBytes += uint64(o.Size)
+			if o.Kind != KindCode {
+				h.recycle(o)
+			}
 			continue
 		}
 		o.marked = false
@@ -307,6 +329,43 @@ func (h *Heap) Collect() CollectStats {
 		h.hooks.PostGC(h.epoch, stats)
 	}
 	return stats
+}
+
+// recycle pools a freed object's host storage for Alloc to reuse. The
+// header is zeroed, Meta, marked and age included, so a holder the
+// collector did not know about finds no slots at address zero rather
+// than the state of the object's next owner.
+func (h *Heap) recycle(o *Object) {
+	give(&h.freeRefs, o.Refs)
+	give(&h.freeScalars, o.Scalars)
+	*o = Object{}
+	h.freeObjs = append(h.freeObjs, o)
+}
+
+// take returns a zeroed slice of length n (nil for n == 0), reusing a
+// pooled backing array of capacity at least 1<<ceil(log2 n) when there
+// is one.
+func take[T any](pool *[bits.UintSize][][]T, n int) []T {
+	if n <= 0 {
+		return nil
+	}
+	k := bits.Len(uint(n - 1))
+	if m := len(pool[k]); m > 0 {
+		s := pool[k][m-1][:n]
+		pool[k] = pool[k][:m-1]
+		clear(s)
+		return s
+	}
+	return make([]T, n, 1<<k)
+}
+
+// give pools a freed backing array in the largest bucket its capacity
+// serves.
+func give[T any](pool *[bits.UintSize][][]T, s []T) {
+	if c := cap(s); c > 0 {
+		k := bits.Len(uint(c)) - 1
+		pool[k] = append(pool[k], s)
+	}
 }
 
 // LiveObjects returns the number of objects tracked (live as of the

@@ -153,6 +153,7 @@ type VM struct {
 	rec        *traceRecorder  // active trace recording, if any
 	traceStats TraceStats
 	scatterBuf []addr.Address // reusable operand vector for ExecScatter
+	rootBuf    []*gc.Object   // reusable root set for the collector
 
 	bootImg       *image.Image
 	bootBase      addr.Address
@@ -364,7 +365,7 @@ func (vm *VM) NativeImages() []*image.Image {
 // roots provides the collector's root set: statics, every frame's
 // locals/stack/code body, and the compiled-method table.
 func (vm *VM) roots() []*gc.Object {
-	var out []*gc.Object
+	out := vm.rootBuf[:0]
 	for i := range vm.statics {
 		if r := vm.statics[i].R; r != nil {
 			out = append(out, r)
@@ -391,6 +392,7 @@ func (vm *VM) roots() []*gc.Object {
 			out = append(out, b.Obj)
 		}
 	}
+	vm.rootBuf = out
 	return out
 }
 

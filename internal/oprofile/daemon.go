@@ -270,12 +270,7 @@ func (d *Daemon) flush(m *kernel.Machine) {
 	for _, ci := range cpus {
 		g := groups[ci]
 		var buf bytes.Buffer
-		if err := WriteCounts(&buf, d.dirty, g); err != nil {
-			// Serialization into memory cannot fail; treat it as a flush
-			// error anyway so a future bug is loud rather than silent.
-			d.flushErrors++
-			return
-		}
+		WriteCounts(&buf, d.dirty, g)
 		err := m.Kern.SysWrite(d.proc, SampleFile, record.Frame(buf.Bytes()))
 		switch {
 		case err == nil:
@@ -328,12 +323,7 @@ func (d *Daemon) spillExcess(m *kernel.Machine, order []Key) {
 	// a torn earlier write.
 	seq := d.spillSeq
 	d.spillSeq++
-	frames, err := buildSpillFrames(seq, d.dirty, tail)
-	if err != nil {
-		d.spillErrors++
-		d.hardCap(order)
-		return
-	}
+	frames := buildSpillFrames(seq, d.dirty, tail)
 	if err := m.Kern.SysWrite(d.proc, SpillFile, frames); err != nil {
 		if errors.Is(err, kernel.ErrCrashed) {
 			d.crashed = true
@@ -566,6 +556,9 @@ func (d *Daemon) UnflushedCPU() map[int]uint64 {
 	return out
 }
 
+// keyLess is the total order flush and spill serialize keys in. Proc
+// and JIT come last as tie-breakers, so keys that differ only there
+// still sort the same way whatever the map's iteration order.
 func keyLess(a, b Key) bool {
 	if a.Event != b.Event {
 		return a.Event < b.Event
@@ -579,5 +572,11 @@ func keyLess(a, b Key) bool {
 	if a.Off != b.Off {
 		return a.Off < b.Off
 	}
-	return a.CPU < b.CPU
+	if a.CPU != b.CPU {
+		return a.CPU < b.CPU
+	}
+	if a.Proc != b.Proc {
+		return a.Proc < b.Proc
+	}
+	return !a.JIT && b.JIT
 }

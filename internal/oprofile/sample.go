@@ -11,6 +11,7 @@ package oprofile
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -96,31 +97,42 @@ func KeyOf(s Sample) Key {
 // SampleFile is the on-disk path prefix for sample data.
 const SampleFile = "var/lib/oprofile/samples.log"
 
-// WriteCounts serializes aggregated counts as sample-file lines:
+// WriteCounts appends aggregated counts to buf as sample-file lines:
 //
 //	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>cpu<TAB>proc<TAB>image
 //
 // Image goes last because it may contain spaces and commas. Every
 // producer frames the result (one record per flush, spill frame,
 // snapshot or wire body); ReadCountsSalvage and ParseCountsText read
-// it back.
-func WriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
-	bw := bufio.NewWriter(w)
+// it back. Each line is appended straight into buf's spare capacity,
+// so a buffer already grown to fit costs no allocation.
+func WriteCounts(buf *bytes.Buffer, counts map[Key]uint64, order []Key) {
 	for _, k := range order {
 		c := counts[k]
 		if c == 0 {
 			continue
 		}
-		jit := 0
+		jit := byte('0')
 		if k.JIT {
-			jit = 1
+			jit = '1'
 		}
-		if _, err := fmt.Fprintf(bw, "%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n",
-			k.Event, jit, k.Epoch, uint64(k.Off), c, k.CPU, k.Proc, k.Image); err != nil {
-			return err
-		}
+		b := buf.AvailableBuffer()
+		b = strconv.AppendUint(b, uint64(k.Event), 10)
+		b = append(b, '\t', jit, '\t')
+		b = strconv.AppendInt(b, int64(k.Epoch), 10)
+		b = append(b, '\t')
+		b = strconv.AppendUint(b, uint64(k.Off), 10)
+		b = append(b, '\t')
+		b = strconv.AppendUint(b, c, 10)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, int64(k.CPU), 10)
+		b = append(b, '\t')
+		b = append(b, k.Proc...)
+		b = append(b, '\t')
+		b = append(b, k.Image...)
+		b = append(b, '\n')
+		buf.Write(b)
 	}
-	return bw.Flush()
 }
 
 // ReadCounts parses a framed sample file, summing duplicate keys (the

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"viprof/internal/addr"
 	"viprof/internal/hpc"
@@ -83,9 +85,7 @@ func sampleCounts() (map[Key]uint64, []Key) {
 func writeCountsText(t testing.TB, counts map[Key]uint64, order []Key) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCounts(&buf, counts, order); err != nil {
-		t.Fatal(err)
-	}
+	WriteCounts(&buf, counts, order)
 	return buf.Bytes()
 }
 
@@ -178,4 +178,71 @@ func TestReadCountsSalvageAllocBudget(t *testing.T) {
 			got, len(file), records, budget)
 	}
 	t.Logf("ReadCountsSalvage: %d B per %d-byte file of %d records", got, len(file), records)
+}
+
+// writeCountsFmt is the bufio/Fprintf writer WriteCounts replaced, kept
+// as the byte-identity oracle.
+func writeCountsFmt(w io.Writer, counts map[Key]uint64, order []Key) error {
+	bw := bufio.NewWriter(w)
+	for _, k := range order {
+		c := counts[k]
+		if c == 0 {
+			continue
+		}
+		jit := 0
+		if k.JIT {
+			jit = 1
+		}
+		if _, err := fmt.Fprintf(bw, "%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n",
+			k.Event, jit, k.Epoch, uint64(k.Off), c, k.CPU, k.Proc, k.Image); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// Property: WriteCounts emits exactly the oracle's bytes for any keys,
+// zero counts, negative epochs and extreme offsets included.
+func TestWriteCountsMatchesFmtOracle(t *testing.T) {
+	check := func(counts map[Key]uint64, order []Key) bool {
+		var got, want bytes.Buffer
+		got.WriteString("#prefix\n")
+		want.WriteString("#prefix\n")
+		WriteCounts(&got, counts, order)
+		if err := writeCountsFmt(&want, counts, order); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Equal(got.Bytes(), want.Bytes())
+	}
+	counts, order := sampleCounts()
+	if !check(counts, order) {
+		t.Fatal("sampleCounts: output differs from the fmt oracle")
+	}
+	f := func(ev uint8, jit bool, epoch int, off uint64, cnt uint64, cpu int, proc, image string) bool {
+		k := Key{Event: hpc.Event(ev), JIT: jit, Epoch: epoch, Off: addr.Address(off),
+			CPU: cpu, Proc: proc, Image: image}
+		zero := Key{Image: "zero"}
+		return check(map[Key]uint64{k: cnt, zero: 0}, []Key{zero, k, k})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Writing into a buffer already grown to fit allocates at most 256
+// bytes beyond the output itself: no bufio buffer, no per-line
+// formatting garbage.
+func TestWriteCountsAllocBudget(t *testing.T) {
+	counts, order := sampleCounts()
+	var buf bytes.Buffer
+	WriteCounts(&buf, counts, order)
+	n := buf.Len()
+	got := allocPerCall(200, func() {
+		buf.Reset()
+		WriteCounts(&buf, counts, order)
+	})
+	if budget := uint64(n + 256); got > budget {
+		t.Errorf("WriteCounts allocates %d B per %d-byte output, budget %d", got, n, budget)
+	}
+	t.Logf("WriteCounts: %d B per %d-byte output", got, n)
 }

@@ -68,7 +68,7 @@ const (
 
 // buildSpillFrames serializes counts for the given keys into framed
 // chunks, every payload opening with "#spill <seq>".
-func buildSpillFrames(seq uint64, counts map[Key]uint64, order []Key) ([]byte, error) {
+func buildSpillFrames(seq uint64, counts map[Key]uint64, order []Key) []byte {
 	var out bytes.Buffer
 	for start := 0; start < len(order); start += spillChunkKeys {
 		end := start + spillChunkKeys
@@ -77,12 +77,10 @@ func buildSpillFrames(seq uint64, counts map[Key]uint64, order []Key) ([]byte, e
 		}
 		var payload bytes.Buffer
 		fmt.Fprintf(&payload, "%s%d\n", spillHeaderPrefix, seq)
-		if err := WriteCounts(&payload, counts, order[start:end]); err != nil {
-			return nil, err
-		}
+		WriteCounts(&payload, counts, order[start:end])
 		out.Write(record.Frame(payload.Bytes()))
 	}
-	return out.Bytes(), nil
+	return out.Bytes()
 }
 
 // spillFrame is one parsed spill record.
@@ -207,10 +205,7 @@ func RecoverSpill(m *kernel.Machine, proc *kernel.Process) (SpillRecovery, error
 	}
 	sort.Slice(order, func(i, j int) bool { return keyLess(order[i], order[j]) })
 	var buf bytes.Buffer
-	if err := WriteCounts(&buf, st.OnDisk, order); err != nil {
-		sr.MergeErrors++
-		return sr, nil
-	}
+	WriteCounts(&buf, st.OnDisk, order)
 	err := m.Kern.SysWrite(proc, SampleFile, record.Frame(buf.Bytes()))
 	if err != nil {
 		sr.MergeErrors++
