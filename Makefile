@@ -4,8 +4,8 @@
 # short test suite, a bounded chaos sweep (seeded fault schedules
 # against the persistence layer, conservation invariants checked end to
 # end), short fuzz runs of the stats-record decoder, the
-# commit-journal reader, the sample-line parser and the code-map entry
-# parser, and one iteration of the engine
+# commit-journal reader, the sample-line parser, the code-map entry
+# parser and the compaction manifest parser, and one iteration of the engine
 # microbenchmarks with their allocation counts (which self-verify that
 # the batched, fused-trace, and per-op paths agree, and that the
 # flattened epoch index matches the backward scan).
@@ -83,12 +83,16 @@ fleet-smoke:
 # same error text or the same counts as the Scanner-based one, and the
 # code-map entry parser (internal/core/codemap.go) may only reject what
 # the Sscanf-based one read, never read it differently, and must accept
-# every map a writer could emit that the oracle reads.
+# every map a writer could emit that the oracle reads. Last, the fleet
+# compaction manifest parser (internal/fleet/compact.go), seeded from a
+# real compaction's manifest: no panic, and every accepted manifest
+# re-encodes through the writer and parses back equal.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKV$$' -fuzztime 5s ./internal/record
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 5s ./internal/record
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCountsText$$' -fuzztime 5s ./internal/oprofile
 	$(GO) test -run '^$$' -fuzz '^FuzzMapEntries$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 5s ./internal/fleet
 
 # Wide composed-schedule sweep (hundreds of seeds, minutes). Out of
 # `make check` by design: run it nightly or before cutting a release.

@@ -1,7 +1,6 @@
 package viprof
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"sort"
@@ -57,9 +56,21 @@ func (o *Outcome) DumpProfile(dir string) error {
 	return disk.DumpTo(dir)
 }
 
-// LoadArchivedReport rebuilds the vertically integrated report from a
-// directory written by DumpProfile.
-func LoadArchivedReport(dir string) (*Report, error) {
+// archive is a profile archive opened for post-processing: its disk
+// and what its manifest names.
+type archive struct {
+	disk   *kernel.Disk
+	events []Event
+	// vmPIDs maps each VM process name to its pid; firstVM is the name
+	// on the first "vm" line ("" when there is none).
+	vmPIDs  map[string]int
+	firstVM string
+}
+
+// openArchive loads a directory written by DumpProfile and parses its
+// manifest: "event <n>" and "vm <pid> <name>" lines. A malformed event
+// or vm line rejects the archive; other lines are ignored.
+func openArchive(dir string) (*archive, error) {
 	disk, err := kernel.LoadDiskFrom(dir)
 	if err != nil {
 		return nil, err
@@ -69,34 +80,61 @@ func LoadArchivedReport(dir string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("viprof: archive has no manifest: %v", err)
 	}
-	var events []Event
-	vmPIDs := make(map[string]int)
-	sc := bufio.NewScanner(bytes.NewReader(manData))
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+	a := &archive{disk: disk, vmPIDs: make(map[string]int)}
+	for _, line := range strings.Split(string(manData), "\n") {
+		fields := strings.Fields(line)
 		switch {
 		case len(fields) == 2 && fields[0] == "event":
 			n, err := strconv.Atoi(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("viprof: bad manifest event: %v", err)
 			}
-			events = append(events, hpc.Event(n))
+			a.events = append(a.events, hpc.Event(n))
 		case len(fields) >= 3 && fields[0] == "vm":
 			pid, err := strconv.Atoi(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("viprof: bad manifest vm line: %v", err)
 			}
-			vmPIDs[strings.Join(fields[2:], " ")] = pid
+			name := strings.Join(fields[2:], " ")
+			a.vmPIDs[name] = pid
+			if a.firstVM == "" {
+				a.firstVM = name
+			}
 		}
 	}
+	return a, nil
+}
+
+// readSamples reads the run's sample file for a view built from what
+// survived: record damage becomes a WARNING line written to out, and a
+// file that cannot be read at all is an error.
+func readSamples(disk *kernel.Disk, out *bytes.Buffer, view string) (map[oprofile.Key]uint64, error) {
+	counts, f, err := oprofile.ReadSampleFile(disk, oprofile.SampleFile)
+	if f.Missing || f.Unreadable {
+		return nil, fmt.Errorf("viprof: no readable sample file %s", oprofile.SampleFile)
+	}
+	if sal := f.Salvage; err == nil && sal.Lossy() {
+		fmt.Fprintf(out, "WARNING: sample file damaged — %d records dropped (%d bytes); %s built from the %d that survived\n",
+			sal.DroppedRecords, sal.DroppedBytes, view, sal.Records)
+	}
+	return counts, err
+}
+
+// LoadArchivedReport rebuilds the vertically integrated report from a
+// directory written by DumpProfile.
+func LoadArchivedReport(dir string) (*Report, error) {
+	a, err := openArchive(dir)
+	if err != nil {
+		return nil, err
+	}
 	images := make(map[string]*image.Image)
-	for _, p := range disk.List() {
+	for _, p := range a.disk.List() {
 		if !strings.HasPrefix(p, imageMapDir+"/") || !strings.HasSuffix(p, ".map") {
 			continue
 		}
 		name := strings.TrimSuffix(strings.TrimPrefix(p, imageMapDir+"/"), ".map")
 		//viplint:allow record-frame RVM.map is the legacy line-oriented text format; ReadRVMMap fails per-line, a torn tail loses at most trailing symbols
-		data, err := disk.Read(p)
+		data, err := a.disk.Read(p)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +144,7 @@ func LoadArchivedReport(dir string) (*Report, error) {
 		}
 		images[name] = im
 	}
-	rep, _, err := core.Vipreport(disk, images, vmPIDs, events)
+	rep, _, err := core.Vipreport(a.disk, images, a.vmPIDs, a.events)
 	return rep, err
 }
 
@@ -115,63 +153,27 @@ func LoadArchivedReport(dir string) (*Report, error) {
 // execution epoch (the VIVA agenda's phase view, derived entirely from
 // VIProf's epoch tags).
 func LoadArchivedPhases(dir string) (string, error) {
-	disk, err := kernel.LoadDiskFrom(dir)
+	a, err := openArchive(dir)
 	if err != nil {
 		return "", err
 	}
-	//viplint:allow record-frame manifest is line-oriented plain text validated field-by-field by this parser
-	manData, err := disk.Read(manifestPath)
-	if err != nil {
-		return "", fmt.Errorf("viprof: archive has no manifest: %v", err)
-	}
-	var proc string
-	var events []Event
-	vmPIDs := make(map[string]int)
-	sc := bufio.NewScanner(bytes.NewReader(manData))
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		switch {
-		case len(fields) == 2 && fields[0] == "event":
-			if n, err := strconv.Atoi(fields[1]); err == nil {
-				events = append(events, hpc.Event(n))
-			}
-		case len(fields) >= 3 && fields[0] == "vm":
-			pid, err := strconv.Atoi(fields[1])
-			if err != nil {
-				continue
-			}
-			name := strings.Join(fields[2:], " ")
-			vmPIDs[name] = pid
-			if proc == "" {
-				proc = name
-			}
-		}
-	}
-	if proc == "" {
+	if a.firstVM == "" {
 		return "", fmt.Errorf("viprof: archive manifest names no VM process")
 	}
-	data, err := disk.Read("var/lib/oprofile/samples.log")
+	var buf bytes.Buffer
+	counts, err := readSamples(a.disk, &buf, "timeline")
 	if err != nil {
 		return "", err
 	}
-	counts, sal, err := oprofile.ReadCountsSalvage(data)
-	if err != nil {
-		return "", err
-	}
-	res, err := core.NewResolver(disk, nil, vmPIDs)
+	res, err := core.NewResolver(a.disk, nil, a.vmPIDs)
 	if err != nil {
 		return "", err
 	}
 	primary := EventCycles
-	if len(events) > 0 {
-		primary = events[0]
+	if len(a.events) > 0 {
+		primary = a.events[0]
 	}
-	rows := core.PhaseBreakdown(counts, res, proc, primary)
-	var buf bytes.Buffer
-	if sal.Lossy() {
-		fmt.Fprintf(&buf, "WARNING: sample file damaged — %d records dropped (%d bytes); timeline built from the %d that survived\n",
-			sal.DroppedRecords, sal.DroppedBytes, sal.Records)
-	}
+	rows := core.PhaseBreakdown(counts, res, a.firstVM, primary)
 	if err := core.FormatPhases(&buf, rows, primary); err != nil {
 		return "", err
 	}

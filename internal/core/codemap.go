@@ -16,6 +16,7 @@ import (
 
 	"viprof/internal/addr"
 	"viprof/internal/kernel"
+	"viprof/internal/oprofile"
 	"viprof/internal/record"
 )
 
@@ -66,15 +67,12 @@ func WriteMapFile(w io.Writer, entries []MapEntry) error {
 	return err
 }
 
-// ReadMapFile parses map entries and verifies the trailer; any damage
-// is a hard error here. Use salvageMapData to recover what survives a
-// torn file.
-func ReadMapFile(r io.Reader) ([]MapEntry, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	entries, sal, trailerOK, err := salvageMapData(data)
+// ReadMapFile parses a map file already in memory and verifies the
+// trailer; any damage is a hard error here. readMapFile is the
+// salvaging disk reader.
+func ReadMapFile(data []byte) ([]MapEntry, error) {
+	recs, sal := record.Scan(data)
+	entries, trailerOK, err := salvageMapData(recs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,13 +86,36 @@ func ReadMapFile(r io.Reader) ([]MapEntry, error) {
 	return entries, nil
 }
 
-// salvageMapData recovers every intact entry of a possibly-damaged map
-// file. trailerOK reports whether the end-trailer was found and its
-// count matches the recovered entries (i.e. the file is provably
+// mapFile is one code-map file read back through record.ReadFile.
+type mapFile struct {
+	record.File
+	// Entries are the intact records' entries in file order.
+	Entries []MapEntry
+	// TrailerOK reports that the end-trailer was found and its count
+	// matches Entries.
+	TrailerOK bool
+}
+
+// complete reports that the file provably holds everything its writer
+// wrote: no salvage loss and a matching trailer.
+func (m mapFile) complete() bool { return !m.Salvage.Lossy() && m.TrailerOK }
+
+// readMapFile reads one code-map file and recovers every intact entry.
+// A missing or unreadable file comes back with no entries and is the
+// caller's to account for.
+func readMapFile(disk *kernel.Disk, path string) (mapFile, error) {
+	m := mapFile{File: record.ReadFile(disk, path)}
+	var err error
+	m.Entries, m.TrailerOK, err = salvageMapData(m.Recs)
+	return m, err
+}
+
+// salvageMapData recovers the entries of a map file's intact records.
+// trailerOK reports whether the end-trailer was found and its count
+// matches the recovered entries (i.e. the records are provably
 // complete). A checksum-valid record that fails to parse is a writer
 // bug, not disk damage, and errors hard.
-func salvageMapData(data []byte) (entries []MapEntry, sal record.Salvage, trailerOK bool, err error) {
-	recs, sal := record.Scan(data)
+func salvageMapData(recs [][]byte) (entries []MapEntry, trailerOK bool, err error) {
 	trailer := -1
 	for _, payload := range recs {
 		text := strings.TrimSpace(string(payload))
@@ -104,19 +125,18 @@ func salvageMapData(data []byte) (entries []MapEntry, sal record.Salvage, traile
 		if count, ok := strings.CutPrefix(text, "#end "); ok {
 			n, perr := strconv.Atoi(count)
 			if perr != nil {
-				return nil, sal, false, fmt.Errorf("code map: bad trailer %q", text)
+				return nil, false, fmt.Errorf("code map: bad trailer %q", text)
 			}
 			trailer = n
 			continue
 		}
 		e, perr := parseMapEntry(text)
 		if perr != nil {
-			return nil, sal, false, fmt.Errorf("code map entry %q: %v", text, perr)
+			return nil, false, fmt.Errorf("code map entry %q: %v", text, perr)
 		}
 		entries = append(entries, e)
 	}
-	trailerOK = trailer == len(entries)
-	return entries, sal, trailerOK, nil
+	return entries, trailer == len(entries), nil
 }
 
 // parseMapEntry decodes one entry line as WriteMapFile writes it: five
@@ -153,35 +173,6 @@ func parseMapEntry(text string) (MapEntry, error) {
 	return MapEntry{Start: addr.Address(start), Size: uint32(size), Epoch: epoch, Level: f[3], Sig: f[4]}, nil
 }
 
-// ChainIntegrity sums the damage found while loading one process's map
-// chain from disk.
-type ChainIntegrity struct {
-	// Files is map files read; OrphanTmp counts .tmp files left by a
-	// crash between the data write and the atomic rename.
-	Files, OrphanTmp int
-	// Entries is intact entries recovered.
-	Entries int
-	// Salvage accounting summed over files.
-	DroppedRecords, DroppedBytes int
-	// TornFiles is files with dropped records or a bad trailer.
-	TornFiles int
-	// UnreadableFiles is map files that exist but failed to read back
-	// (EIO from a degraded disk). Every entry they held is lost, so they
-	// poison the chain at their epoch like a torn file does.
-	UnreadableFiles int
-	// Quarantined counts .quarantined files the recovery pass set
-	// aside: orphan temps too damaged to adopt, preserved as evidence.
-	Quarantined int
-	// MissingCommitted counts epochs the agent journal ratified whose
-	// final files were nonetheless absent from the directory listing —
-	// a lost dirent, not a deferred write. Each poisons the chain at
-	// its epoch so hidden entries cannot shadow-resolve.
-	MissingCommitted int
-	// JournalDamaged is 1 when the commit journal was torn, unreadable,
-	// or unparseable; the chain is conservatively poisoned whole.
-	JournalDamaged int
-}
-
 // MapChain is one process's sequence of epoch code maps, supporting the
 // paper's backward search: "the tools will initially search for a
 // sample in the map file corresponding to the epoch during which the
@@ -201,7 +192,7 @@ type MapChain struct {
 	// integ is what loading from disk found; poisonCeil is the highest
 	// epoch whose file was damaged (-1 = none). ResolveDurable refuses
 	// to attribute through damaged epochs rather than guess.
-	integ      ChainIntegrity
+	integ      oprofile.ChainIntegrity
 	poisonCeil int
 }
 
@@ -224,7 +215,7 @@ func NewMapChain(perEpoch [][]MapEntry) *MapChain {
 // find their way home.
 func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 	prefix := fmt.Sprintf("%s/%d/", MapDir, pid)
-	var integ ChainIntegrity
+	var integ oprofile.ChainIntegrity
 	poison := -1
 	maxEpoch := -1
 	type loaded struct {
@@ -261,41 +252,37 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 			continue // move logs ("map.-1.moves") etc.
 		}
 		present[fileEpoch] = true
-		data, err := disk.Read(name)
-		if err != nil {
-			// The file exists but would not read back (EIO). Silently
-			// skipping it would let the backward search walk past the
-			// epoch and attribute samples through entries we never saw —
-			// misattribution by omission. Count the loss and poison the
-			// chain at this epoch instead, exactly as for a torn file.
-			integ.Files++
-			integ.UnreadableFiles++
-			if fileEpoch > poison {
-				poison = fileEpoch
-			}
-			if fileEpoch > maxEpoch {
-				maxEpoch = fileEpoch
-			}
-			continue
-		}
-		entries, sal, trailerOK, err := salvageMapData(data)
+		mf, err := readMapFile(disk, name)
 		if err != nil {
 			return nil, fmt.Errorf("map chain pid %d epoch %d: %v", pid, fileEpoch, err)
 		}
 		integ.Files++
-		integ.Entries += len(entries)
-		integ.DroppedRecords += sal.DroppedRecords
-		integ.DroppedBytes += sal.DroppedBytes
-		if sal.Lossy() || !trailerOK {
+		if fileEpoch > maxEpoch {
+			maxEpoch = fileEpoch
+		}
+		if mf.Missing || mf.Unreadable {
+			// Listed, but no bytes came back (EIO, or a dirent with no
+			// file behind it). Silently skipping it would let the
+			// backward search walk past the epoch and attribute samples
+			// through entries we never saw — misattribution by
+			// omission. Count the loss and poison the chain at this
+			// epoch instead, exactly as for a torn file.
+			integ.UnreadableFiles++
+			if fileEpoch > poison {
+				poison = fileEpoch
+			}
+			continue
+		}
+		integ.Entries += len(mf.Entries)
+		integ.DroppedRecords += mf.Salvage.DroppedRecords
+		integ.DroppedBytes += mf.Salvage.DroppedBytes
+		if !mf.complete() {
 			integ.TornFiles++
 			if fileEpoch > poison {
 				poison = fileEpoch
 			}
 		}
-		if fileEpoch > maxEpoch {
-			maxEpoch = fileEpoch
-		}
-		files = append(files, loaded{fileEpoch, entries})
+		files = append(files, loaded{fileEpoch, mf.Entries})
 	}
 	// Cross-check the listing against the agent's commit journal. A
 	// directory listing is the third trusted surface after writes and
@@ -371,7 +358,7 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 }
 
 // Integrity returns what loading this chain from disk found.
-func (c *MapChain) Integrity() ChainIntegrity { return c.integ }
+func (c *MapChain) Integrity() oprofile.ChainIntegrity { return c.integ }
 
 // Epochs returns the number of epochs present in the chain.
 func (c *MapChain) Epochs() int { return len(c.maps) }

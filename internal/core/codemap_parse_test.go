@@ -9,8 +9,18 @@ import (
 	"testing"
 
 	"viprof/internal/addr"
+	"viprof/internal/kernel"
 	"viprof/internal/record"
 )
+
+// salvageBytes reads data as a map file on a fresh disk through
+// readMapFile, the salvaging reader every disk path uses.
+func salvageBytes(data []byte) ([]MapEntry, record.Salvage, bool, error) {
+	disk := kernel.NewDisk()
+	disk.Append("map.0", data)
+	mf, err := readMapFile(disk, "map.0")
+	return mf.Entries, mf.Salvage, mf.TrailerOK, err
+}
 
 // salvageMapDataSscanf is the Sscanf-based map-entry reader
 // salvageMapData replaced, kept verbatim as the differential oracle.
@@ -113,7 +123,7 @@ func writerEmittable(data []byte) bool {
 	return true
 }
 
-// FuzzMapEntries checks salvageMapData against the Sscanf oracle, on
+// FuzzMapEntries checks the map-file reader against the Sscanf oracle, on
 // the input as framed bytes and with each of its lines framed as a
 // record. Whatever the new parser accepts, the oracle reads to the same
 // entries, salvage and trailer verdict; whatever a writer could have
@@ -145,7 +155,7 @@ func FuzzMapEntries(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, reframeLines(data)} {
-			got, gotSal, gotOK, err := salvageMapData(in)
+			got, gotSal, gotOK, err := salvageBytes(in)
 			want, wantSal, wantOK, werr := salvageMapDataSscanf(in)
 			if err == nil {
 				if werr != nil {
@@ -174,7 +184,7 @@ func TestMapEntryRejectsNonWriterForms(t *testing.T) {
 		"#end 2x",                            // trailer: trailing text
 		"#end 0x2",                           // trailer: hex prefix
 	} {
-		if _, _, _, err := salvageMapData(record.Frame([]byte(text + "\n"))); err == nil {
+		if _, _, _, err := salvageBytes(record.Frame([]byte(text + "\n"))); err == nil {
 			t.Errorf("%q accepted", text)
 		}
 	}
@@ -185,7 +195,7 @@ func TestMapEntryRejectsNonWriterForms(t *testing.T) {
 func TestReadMapFileAllocBudget(t *testing.T) {
 	data := mapFileBytes(t, mapSample(40))
 	read := func() {
-		if _, err := ReadMapFile(bytes.NewReader(data)); err != nil {
+		if _, err := ReadMapFile(data); err != nil {
 			t.Fatal(err)
 		}
 	}

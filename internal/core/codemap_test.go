@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"viprof/internal/addr"
@@ -22,7 +21,7 @@ func TestMapFileRoundTrip(t *testing.T) {
 	if err := WriteMapFile(&buf, entries); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMapFile(&buf)
+	got, err := ReadMapFile(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestMapFileRoundTrip(t *testing.T) {
 
 func TestReadMapFileErrors(t *testing.T) {
 	// Unframed garbage: nothing salvages, no trailer — rejected.
-	if _, err := ReadMapFile(strings.NewReader("not a map\n")); err == nil {
+	if _, err := ReadMapFile([]byte("not a map\n")); err == nil {
 		t.Error("garbage accepted")
 	}
 	// An empty entry set with a valid trailer is a legitimate empty map.
@@ -46,28 +45,28 @@ func TestReadMapFileErrors(t *testing.T) {
 	if err := WriteMapFile(&empty, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMapFile(&empty)
+	got, err := ReadMapFile(empty.Bytes())
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty map: %v, %d entries", err, len(got))
 	}
 	// A map missing its trailer record reads as torn.
 	var noTrailer bytes.Buffer
 	noTrailer.Write(record.Frame([]byte("00000010 5 0 base a.b\n")))
-	if _, err := ReadMapFile(&noTrailer); err == nil {
+	if _, err := ReadMapFile(noTrailer.Bytes()); err == nil {
 		t.Error("map without trailer accepted (torn writes undetectable)")
 	}
 	// A trailer whose count disagrees with the entries reads as torn.
 	var mismatch bytes.Buffer
 	mismatch.Write(record.Frame([]byte("00000010 5 0 base a.b\n")))
 	mismatch.Write(record.Frame([]byte("#end 2\n")))
-	if _, err := ReadMapFile(&mismatch); err == nil {
+	if _, err := ReadMapFile(mismatch.Bytes()); err == nil {
 		t.Error("trailer count mismatch accepted")
 	}
 	// A checksum-valid record with an unparseable payload is a writer
 	// bug and errors hard even through the salvage path.
 	var badPayload bytes.Buffer
 	badPayload.Write(record.Frame([]byte("zz not numbers\n")))
-	if _, _, _, err := salvageMapData(badPayload.Bytes()); err == nil {
+	if _, _, _, err := salvageBytes(badPayload.Bytes()); err == nil {
 		t.Error("unparseable checksum-valid record accepted")
 	}
 }

@@ -121,7 +121,7 @@ func TestTornWriteSweep(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 0; cut <= len(full); cut++ {
-		got, sal, trailerOK, err := salvageMapData(full[:cut])
+		got, sal, trailerOK, err := salvageBytes(full[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: structural error from salvage: %v", cut, err)
 		}
@@ -167,7 +167,7 @@ func TestTornWriteByteFlips(t *testing.T) {
 	for pos := 0; pos < len(full); pos++ {
 		mut := append([]byte(nil), full...)
 		mut[pos] ^= 0x41
-		got, sal, trailerOK, err := salvageMapData(mut)
+		got, sal, trailerOK, err := salvageBytes(mut)
 		if err != nil {
 			// The flip produced a checksum-valid but unparseable record:
 			// impossible for a single-byte flip against CRC-32 unless it

@@ -58,13 +58,9 @@ func TestPhaseBreakdown(t *testing.T) {
 
 func TestPhaseBreakdownEndToEnd(t *testing.T) {
 	s, vm, proc, m := runSession(t, stdConfig(), 128<<10)
-	data, err := m.Kern.Disk().Read(oprofile.SampleFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := oprofile.ReadCounts(strings.NewReader(string(data)))
-	if err != nil {
-		t.Fatal(err)
+	counts, sf, err := oprofile.ReadSampleFile(m.Kern.Disk(), oprofile.SampleFile)
+	if err != nil || sf.Missing || sf.Unreadable || sf.Salvage.Lossy() {
+		t.Fatalf("sample file: err %v, missing %v, unreadable %v, %+v", err, sf.Missing, sf.Unreadable, sf.Salvage)
 	}
 	res, err := NewResolver(m.Kern.Disk(), s.Images(vm), map[string]int{proc.Name: proc.PID})
 	if err != nil {

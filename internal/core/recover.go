@@ -211,13 +211,12 @@ func recoverOrphan(kern *kernel.Kernel, proc *kernel.Process, prefix, tmp string
 		stats.Discarded++
 		return nil
 	}
-	data, err := disk.Read(tmp)
-	if err != nil {
+	mf, perr := readMapFile(disk, tmp)
+	if mf.Missing || mf.Unreadable {
 		countOnce(counted, "failed:"+tmp, &stats.Failed)
 		return nil
 	}
-	entries, sal, trailerOK, perr := salvageMapData(data)
-	if perr != nil || sal.Lossy() || !trailerOK || (epoch < 0 && len(entries) == 0) {
+	if perr != nil || !mf.complete() || (epoch < 0 && len(mf.Entries) == 0) {
 		// Damaged (or not a map payload at all): set it aside as
 		// evidence. The *.quarantined suffix keeps it out of every
 		// resolver path while preserving the bytes.

@@ -154,21 +154,17 @@ func StandardImages(m *kernel.Machine, vms ...*jvm.VM) map[string]*image.Image {
 // still errors.
 func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[string]int,
 	events []hpc.Event) (*oprofile.Report, *Resolver, error) {
-	integ := &oprofile.Integrity{}
-	var counts map[oprofile.Key]uint64
-	data, err := disk.Read(oprofile.SampleFile)
+	counts, sf, err := oprofile.ReadSampleFile(disk, oprofile.SampleFile)
 	if err != nil {
-		integ.SampleFileMissing = true
-		counts = make(map[oprofile.Key]uint64)
-	} else {
-		var sal record.Salvage
-		counts, sal, err = oprofile.ReadCountsSalvage(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		integ.SampleRecords = sal.Records
-		integ.SampleDroppedRecords = sal.DroppedRecords
-		integ.SampleDroppedBytes = sal.DroppedBytes
+		return nil, nil, err
+	}
+	// An EIO leaves no sample data either: the report degrades as for
+	// a missing file.
+	integ := &oprofile.Integrity{
+		SampleFileMissing:    sf.Missing || sf.Unreadable,
+		SampleRecords:        sf.Salvage.Records,
+		SampleDroppedRecords: sf.Salvage.DroppedRecords,
+		SampleDroppedBytes:   sf.Salvage.DroppedBytes,
 	}
 	// The daemon writes its stats once, at clean shutdown: anything but
 	// exactly one intact record is as untrustworthy as no file at all.
@@ -248,13 +244,7 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 		pid := vmPIDs[proc]
 		mi := oprofile.MapIntegrity{PID: pid, Proc: proc}
 		if chain, ok := res.Chains[pid]; ok {
-			ci := chain.Integrity()
-			mi.Files, mi.OrphanTmp, mi.Entries = ci.Files, ci.OrphanTmp, ci.Entries
-			mi.DroppedRecords, mi.DroppedBytes, mi.TornFiles = ci.DroppedRecords, ci.DroppedBytes, ci.TornFiles
-			mi.UnreadableFiles = ci.UnreadableFiles
-			mi.Quarantined = ci.Quarantined
-			mi.MissingCommitted = ci.MissingCommitted
-			mi.JournalDamaged = ci.JournalDamaged
+			mi.ChainIntegrity = chain.Integrity()
 		}
 		// Written once at clean VM exit: exactly one intact record.
 		var ap AgentPersisted

@@ -85,9 +85,11 @@ func manifestPayload(man *Manifest) []byte {
 
 // parseManifest parses a manifest file. The last intact record wins
 // (a rewritten manifest appends before its stale predecessor is
-// reclaimed); no intact record, a malformed header, or a file-line
-// count that disagrees with the header is damage — the caller treats
-// the generation index as gone and falls back to the journals.
+// reclaimed). Every field is a space-separated key=value pair whose
+// value is an unsigned decimal, except the non-empty file= path. No
+// intact record, a malformed header or file line, or a file-line count
+// that disagrees with the header is damage — the caller treats the
+// generation index as gone and falls back to the journals.
 func parseManifest(f record.File) (*Manifest, error) {
 	payload, ok := f.Last()
 	if !ok {
@@ -100,36 +102,46 @@ func parseManifest(f record.File) (*Manifest, error) {
 	}
 	man := &Manifest{}
 	wantFiles := -1
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
+	for _, field := range fields[1:] {
+		k, v, ok := strings.Cut(field, "=")
 		if !ok {
-			return nil, fmt.Errorf("fleet: malformed manifest field %q", f)
+			return nil, fmt.Errorf("fleet: malformed manifest field %q", field)
 		}
-		n, err := strconv.Atoi(v)
+		n, err := strconv.ParseUint(v, 10, strconv.IntSize-1)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: manifest %s: %v", k, err)
 		}
 		switch k {
 		case "gen":
-			man.Gen = n
+			man.Gen = int(n)
 		case "files":
-			wantFiles = n
+			wantFiles = int(n)
 		case "lostrecs":
-			man.LostRecs = n
+			man.LostRecs = int(n)
 		case "lostbytes":
-			man.LostBytes = n
+			man.LostBytes = int(n)
 		}
 	}
 	if man.Gen <= 0 {
 		return nil, fmt.Errorf("fleet: manifest gen %d", man.Gen)
 	}
 	for _, line := range lines[1:] {
-		mf := ManifestFile{}
-		if _, err := fmt.Sscanf(line, "file=%s frames=%d minat=%d maxat=%d",
-			&mf.Path, &mf.Frames, &mf.MinAt, &mf.MaxAt); err != nil {
-			return nil, fmt.Errorf("fleet: manifest file line %q: %v", line, err)
+		// Exactly file=, frames=, minat= and maxat=, in that order.
+		f := strings.Fields(line)
+		var v [4]string
+		ok := len(f) == len(v)
+		for i, key := range [4]string{"file=", "frames=", "minat=", "maxat="} {
+			if ok {
+				v[i], ok = strings.CutPrefix(f[i], key)
+			}
 		}
-		man.Files = append(man.Files, mf)
+		frames, err1 := strconv.ParseUint(v[1], 10, strconv.IntSize-1)
+		minAt, err2 := strconv.ParseUint(v[2], 10, 64)
+		maxAt, err3 := strconv.ParseUint(v[3], 10, 64)
+		if !ok || v[0] == "" || err1 != nil || err2 != nil || err3 != nil {
+			return nil, fmt.Errorf("fleet: malformed manifest file line %q", line)
+		}
+		man.Files = append(man.Files, ManifestFile{Path: v[0], Frames: int(frames), MinAt: minAt, MaxAt: maxAt})
 	}
 	if wantFiles >= 0 && wantFiles != len(man.Files) {
 		return nil, fmt.Errorf("fleet: manifest names %d files, header says %d",

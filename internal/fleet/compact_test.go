@@ -4,17 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"viprof/internal/kernel"
 	"viprof/internal/oprofile"
+	"viprof/internal/record"
 )
 
 // buildStore runs a small fleet (with real network dups so the
 // journals hold duplicate-absorption evidence, and a scripted shard
 // crash so they hold a restart marker and torn-append salvage) and
 // returns the machine whose disk is the store under test.
-func buildStore(t *testing.T, seed int64, hosts, deltas int, crash bool) *kernel.Machine {
+func buildStore(t testing.TB, seed int64, hosts, deltas int, crash bool) *kernel.Machine {
 	t.Helper()
 	m := newTestMachine(seed)
 	if crash {
@@ -351,4 +353,66 @@ func TestStrayAuditUsesReplayedManifest(t *testing.T) {
 	if fi := AssembleIntegrity(disk, agg, rep, hosts, NetFaultStats{}); fi.StrayGenFiles != 0 {
 		t.Errorf("unreadable manifest: %d files called stray", fi.StrayGenFiles)
 	}
+}
+
+// The manifest parser accepts only what manifestPayload writes:
+// unsigned decimals, a non-empty path, and exactly the four file-line
+// fields.
+func TestParseManifestStrict(t *testing.T) {
+	const head = "#manifest gen=2 files=1 lostrecs=0 lostbytes=0\n"
+	for _, tc := range []struct {
+		name, payload string
+		ok            bool
+	}{
+		{"as written", head + "file=var/fleet/gen/g2.0.samples frames=3 minat=1 maxat=9\n", true},
+		{"trailing junk in a number", head + "file=g frames=3 minat=1 maxat=3junk\n", false},
+		{"negative frames", head + "file=g frames=-1 minat=1 maxat=9\n", false},
+		{"signed frames", head + "file=g frames=+1 minat=1 maxat=9\n", false},
+		{"trailing field", head + "file=g frames=3 minat=1 maxat=9 extra=1\n", false},
+		{"missing field", head + "file=g frames=3 minat=1\n", false},
+		{"fields out of order", head + "frames=3 file=g minat=1 maxat=9\n", false},
+		{"empty path", head + "file= frames=3 minat=1 maxat=9\n", false},
+		{"negative lostrecs", "#manifest gen=2 files=0 lostrecs=-1 lostbytes=0\n", false},
+		{"negative lostbytes", "#manifest gen=2 files=0 lostrecs=0 lostbytes=-5\n", false},
+		{"negative gen", "#manifest gen=-2 files=0\n", false},
+		{"no files", "#manifest gen=2 files=0 lostrecs=0 lostbytes=0\n", true},
+	} {
+		_, err := parseManifest(record.File{Recs: [][]byte{[]byte(tc.payload)}})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: %q: err %v, want ok=%v", tc.name, tc.payload, err, tc.ok)
+		}
+	}
+}
+
+// FuzzParseManifest: the manifest parser never panics, and every
+// manifest it accepts re-encodes through manifestPayload and parses
+// back equal. Seeded from a real compaction's manifest.
+func FuzzParseManifest(f *testing.F) {
+	m := buildStore(f, 404, 2, 12, false)
+	disk := m.Kern.Disk()
+	if res, err := CompactDisk(disk); err != nil || !res.Committed || res.Files == 0 {
+		f.Fatalf("compaction: %+v, %v", res, err)
+	}
+	real, ok := record.ReadFile(disk, ManifestPath).Last()
+	if !ok {
+		f.Fatal("compaction left no manifest record")
+	}
+	f.Add(real)
+	f.Add([]byte("#manifest gen=1 files=0 lostrecs=0 lostbytes=0\n"))
+	f.Add([]byte("#manifest gen=3 files=1\nfile=g frames=1 minat=18446744073709551615 maxat=0\n"))
+	f.Add([]byte("#manifest gen=2 files=1 lostrecs=-1\nfile=g frames=3 minat=1 maxat=3junk extra\n"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		man, err := parseManifest(record.File{Recs: [][]byte{payload}})
+		if err != nil {
+			return
+		}
+		recs, _ := record.Scan(manifestPayload(man))
+		again, err := parseManifest(record.File{Recs: recs})
+		if err != nil {
+			t.Fatalf("%q: accepted, but its re-encoding is rejected: %v", payload, err)
+		}
+		if !reflect.DeepEqual(man, again) {
+			t.Fatalf("%q: parsed %+v, re-encoded and parsed %+v", payload, man, again)
+		}
+	})
 }

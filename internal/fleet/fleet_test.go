@@ -238,7 +238,7 @@ func TestAggregateGapsPoison(t *testing.T) {
 
 // requireConservation asserts the headline invariant on a finished run,
 // against both the live aggregate and the offline journal replay.
-func requireConservation(t *testing.T, res *FleetResult) {
+func requireConservation(t testing.TB, res *FleetResult) {
 	t.Helper()
 	for name, agg := range map[string]*Aggregate{
 		"live": res.Collector.Aggregate(), "replayed": res.Replayed,
@@ -280,13 +280,12 @@ func TestFleetCleanRun(t *testing.T) {
 		t.Fatalf("clean run degraded:\n%s", FormatFleetIntegrity(res.Integrity))
 	}
 	// The committed snapshot must exist and agree with the aggregate.
-	data, err := m.Kern.Disk().Read(AggregateFile)
-	if err != nil {
-		t.Fatalf("aggregate snapshot: %v", err)
+	snap, sf, err := oprofile.ReadSampleFile(m.Kern.Disk(), AggregateFile)
+	if sf.Missing || sf.Unreadable {
+		t.Fatal("aggregate snapshot unreadable")
 	}
-	snap, err := oprofile.ReadCounts(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("snapshot parse: %v", err)
+	if err != nil || sf.Salvage.Lossy() {
+		t.Fatalf("snapshot parse: %v, %+v", err, sf.Salvage)
 	}
 	var snapTotal uint64
 	for _, cnt := range snap {

@@ -187,14 +187,9 @@ func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hos
 	if p, ok := cf.Last(); ok && record.DecodeKV(p, cs.Fields()) == nil {
 		fi.Collector = &cs
 	}
-	if disk.Exists(AggregateFile) {
-		if data, err := disk.Read(AggregateFile); err == nil {
-			_, sal, rerr := oprofile.ReadCountsSalvage(data)
-			fi.AggregateSnapshot = true
-			if rerr != nil || sal.Lossy() {
-				fi.SnapshotDamaged = true
-			}
-		}
+	if _, af, err := oprofile.ReadSampleFile(disk, AggregateFile); !af.Missing && !af.Unreadable {
+		fi.AggregateSnapshot = true
+		fi.SnapshotDamaged = err != nil || af.Salvage.Lossy()
 	}
 
 	for _, host := range hosts {

@@ -20,7 +20,7 @@ import (
 // followed by a kind-specific body:
 //
 //	#delta host=<id> seq=<n> at=<cycles>
-//	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>proc<TAB>image
+//	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>cpu<TAB>proc<TAB>image
 //	...
 //
 //	#map host=<id> seq=<n> epoch=<e> at=<cycles>
@@ -201,7 +201,7 @@ func DecodePayload(payload []byte) (*WireMsg, error) {
 	case KindMap:
 		// The outer CRC already passed, so a body that will not parse is
 		// a writer bug, not wire damage — strict read, loud error.
-		entries, err := core.ReadMapFile(bytes.NewReader(body))
+		entries, err := core.ReadMapFile(body)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: map body: %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"viprof/internal/hpc"
+	"viprof/internal/oprofile"
 	"viprof/internal/workload"
 )
 
@@ -168,7 +169,7 @@ func TestNoiseProcessSamplesAppear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.Machine.Kern.Disk().Read("var/lib/oprofile/samples.log")
+	data, err := r.Machine.Kern.Disk().Read(oprofile.SampleFile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,36 +62,46 @@ func (ps *PersistedStats) Fields() []record.Field {
 	}
 }
 
-// MapIntegrity is the per-VM code-map damage report.
+// ChainIntegrity sums the damage found while loading one process's
+// epoch code-map chain from disk.
+type ChainIntegrity struct {
+	// Files is map files read; OrphanTmp counts .tmp files left by a
+	// crash between the data write and the atomic rename.
+	Files, OrphanTmp int
+	// Entries is intact entries recovered.
+	Entries int
+	// Salvage accounting summed over files.
+	DroppedRecords, DroppedBytes int
+	// TornFiles is files with dropped records or a bad trailer.
+	TornFiles int
+	// UnreadableFiles is map files that are listed but failed to read
+	// back (EIO from a degraded disk, or a dirent with no file). Every
+	// entry they held is lost, so they poison the chain at their epoch
+	// like a torn file does.
+	UnreadableFiles int
+	// Quarantined counts .quarantined files the recovery pass set
+	// aside: orphan temps too damaged to adopt, preserved as evidence.
+	Quarantined int
+	// MissingCommitted counts epochs the agent journal ratified whose
+	// final files were nonetheless absent from the directory listing —
+	// a lost dirent, not a deferred write. Each poisons the chain at
+	// its epoch so hidden entries cannot shadow-resolve.
+	MissingCommitted int
+	// JournalDamaged counts commit-journal damage: a torn, unreadable
+	// or unparseable journal, and agent stats (the witness of the
+	// journal's completeness) that exist but cannot be read back.
+	// Either poisons the chain whole.
+	JournalDamaged int
+}
+
+// MapIntegrity is the per-VM code-map damage report: the chain's own
+// damage plus the agent's persisted self-counters.
 type MapIntegrity struct {
 	PID  int
 	Proc string
 
-	// Files is map files read; OrphanTmp counts leftover .tmp files (a
-	// crash struck between the data write and the atomic rename).
-	Files, OrphanTmp int
-	// Entries is intact map entries recovered across the chain.
-	Entries int
-	// Salvage accounting summed over the chain's files.
-	DroppedRecords, DroppedBytes int
-	// TornFiles is files with damage or a missing end-trailer.
-	TornFiles int
-	// UnreadableFiles is map files that exist but failed to read back
-	// (EIO on the offline tools' side); their epochs are poisoned.
-	UnreadableFiles int
+	ChainIntegrity
 
-	// Quarantined counts damaged temp files the recovery pass set aside
-	// as *.quarantined evidence rather than adopting or deleting.
-	Quarantined int
-	// MissingCommitted counts epochs the agent's commit journal ratified
-	// but whose map file is absent from the directory listing — either
-	// the file was destroyed or the listing itself is damaged; the
-	// resolver poisons those epochs either way.
-	MissingCommitted int
-	// JournalDamaged counts commit-journal damage (torn journal, or an
-	// agent stats file that exists but cannot be read back, which
-	// prevents verifying the journal).
-	JournalDamaged int
 	// JournalErrors is the agent's self-reported count of failed
 	// commit-journal appends.
 	JournalErrors int

@@ -54,9 +54,9 @@ func TestCountsRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	WriteCounts(&buf, counts, order)
-	got, err := ReadCounts(bytes.NewReader(record.Frame(buf.Bytes())))
-	if err != nil {
-		t.Fatal(err)
+	got, f, err := readSampleBytes(record.Frame(buf.Bytes()))
+	if err != nil || f.Salvage.Lossy() {
+		t.Fatalf("round trip: %v, %+v", err, f.Salvage)
 	}
 	if len(got) != len(counts) {
 		t.Fatalf("round trip: %d keys, want %d", len(got), len(counts))
@@ -71,9 +71,9 @@ func TestCountsRoundTrip(t *testing.T) {
 func TestReadCountsSumsDuplicates(t *testing.T) {
 	line := "0\t0\t0\t64\t5\t1\tapp\tlibc.so\n"
 	file := append(record.Frame([]byte(line+line)), record.Frame([]byte(line))...)
-	got, err := ReadCounts(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
+	got, f, err := readSampleBytes(file)
+	if err != nil || f.Salvage.Records != 2 || f.Salvage.Lossy() {
+		t.Fatalf("read: %v, %+v", err, f.Salvage)
 	}
 	k := Key{Event: hpc.GlobalPowerEvents, Image: "libc.so", Proc: "app", CPU: 1, Off: 64}
 	if got[k] != 15 {
@@ -82,22 +82,51 @@ func TestReadCountsSumsDuplicates(t *testing.T) {
 }
 
 func TestReadCountsErrors(t *testing.T) {
+	// A checksum-valid record that does not parse is a writer bug.
 	for _, payload := range []string{
 		"garbage line\n",
 		"x\t0\t0\t1\t1\t0\tp\timg\n", // non-numeric event
 		"0\t0\t0\t1\t1\tp\timg\n",    // 7 fields: no cpu column
 	} {
-		if _, err := ReadCounts(bytes.NewReader(record.Frame([]byte(payload)))); err == nil {
+		if _, _, err := readSampleBytes(record.Frame([]byte(payload))); err == nil {
 			t.Errorf("malformed payload %q accepted", payload)
 		}
 	}
+	// Unframed lines salvage to nothing: all loss, which opreport (no
+	// Integrity section to show it in) refuses.
 	line := []byte("0\t0\t0\t64\t5\t0\tapp\tlibc.so\n")
-	if _, err := ReadCounts(bytes.NewReader(line)); err == nil {
+	counts, f, err := readSampleBytes(line)
+	if err != nil || len(counts) != 0 || f.Salvage.DroppedBytes != len(line) {
+		t.Errorf("unframed lines: %v, %d keys, %+v", err, len(counts), f.Salvage)
+	}
+	disk := kernel.NewDisk()
+	disk.Append(SampleFile, line)
+	if _, err := Opreport(disk, nil, nil); err == nil {
 		t.Error("unframed sample lines accepted")
+	}
+	// Absence and an EIO are values on the File, never parse errors;
+	// opreport cannot go on without the file.
+	empty := kernel.NewDisk()
+	if counts, f, err := ReadSampleFile(empty, SampleFile); err != nil || !f.Missing || counts == nil {
+		t.Errorf("missing file: %v, missing %v, counts %v", err, f.Missing, counts)
+	}
+	if _, err := Opreport(empty, nil, nil); err == nil {
+		t.Error("opreport without a sample file succeeded")
+	}
+	disk.SetReadFaultInjector(kernel.ReadFaultPlan{Script: []int{0}})
+	if _, f, err := ReadSampleFile(disk, SampleFile); err != nil || !f.Unreadable {
+		t.Errorf("EIO: %v, unreadable %v", err, f.Unreadable)
 	}
 }
 
-// Property: WriteCounts/ReadCounts round-trips arbitrary key content,
+// readSampleBytes reads file back as a sample file on a fresh disk.
+func readSampleBytes(file []byte) (map[Key]uint64, record.File, error) {
+	disk := kernel.NewDisk()
+	disk.Append(SampleFile, file)
+	return ReadSampleFile(disk, SampleFile)
+}
+
+// Property: WriteCounts/ReadSampleFile round-trips arbitrary key content,
 // including image names with spaces, commas and parens.
 func TestCountsRoundTripQuick(t *testing.T) {
 	f := func(off uint32, cnt uint16, epoch, ci uint8, jit bool) bool {
@@ -113,8 +142,8 @@ func TestCountsRoundTripQuick(t *testing.T) {
 		counts := map[Key]uint64{k: uint64(cnt) + 1}
 		var buf bytes.Buffer
 		WriteCounts(&buf, counts, []Key{k})
-		got, err := ReadCounts(bytes.NewReader(record.Frame(buf.Bytes())))
-		if err != nil {
+		got, f, err := readSampleBytes(record.Frame(buf.Bytes()))
+		if err != nil || f.Salvage.Lossy() {
 			return false
 		}
 		return got[k] == uint64(cnt)+1
@@ -362,10 +391,9 @@ func TestDaemonDrainsAndFlushes(t *testing.T) {
 		t.Fatal("no sample file on disk")
 	}
 	// Disk contents must agree with the daemon's in-memory aggregate.
-	data, _ := m.Kern.Disk().Read(SampleFile)
-	fromDisk, err := ReadCounts(strings.NewReader(string(data)))
-	if err != nil {
-		t.Fatal(err)
+	fromDisk, f, err := ReadSampleFile(m.Kern.Disk(), SampleFile)
+	if err != nil || f.Salvage.Lossy() {
+		t.Fatalf("sample file: %v, %+v", err, f.Salvage)
 	}
 	mem := prof.Daemon.Counts()
 	if len(fromDisk) != len(mem) {

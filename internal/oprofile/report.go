@@ -1,7 +1,6 @@
 package oprofile
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -248,13 +247,17 @@ func BuildReport(counts map[Key]uint64, res Resolver, events []hpc.Event) *Repor
 // Opreport reads the sample file from disk and builds the baseline
 // (JIT-blind) report — the lower half of the paper's Figure 1.
 func Opreport(disk *kernel.Disk, images map[string]*image.Image, events []hpc.Event) (*Report, error) {
-	data, err := disk.Read(SampleFile)
-	if err != nil {
-		return nil, fmt.Errorf("opreport: %v", err)
-	}
-	counts, err := ReadCounts(bytes.NewReader(data))
-	if err != nil {
+	counts, f, err := ReadSampleFile(disk, SampleFile)
+	switch {
+	case f.Missing || f.Unreadable:
+		return nil, fmt.Errorf("opreport: no readable sample file %s", SampleFile)
+	case err != nil:
 		return nil, err
+	case f.Salvage.Lossy():
+		// The baseline report has no Integrity section to show damage
+		// in, so damage is an error rather than a silent undercount.
+		return nil, fmt.Errorf("oprofile: sample file corrupt: %d records dropped (%d bytes)",
+			f.Salvage.DroppedRecords, f.Salvage.DroppedBytes)
 	}
 	return BuildReport(counts, &ELFResolver{Images: images}, events), nil
 }

@@ -13,12 +13,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
 	"viprof/internal/addr"
 	"viprof/internal/hpc"
+	"viprof/internal/kernel"
 	"viprof/internal/record"
 )
 
@@ -103,9 +103,10 @@ const SampleFile = "var/lib/oprofile/samples.log"
 //
 // Image goes last because it may contain spaces and commas. Every
 // producer frames the result (one record per flush, spill frame,
-// snapshot or wire body); ReadCountsSalvage and ParseCountsText read
-// it back. Each line is appended straight into buf's spare capacity,
-// so a buffer already grown to fit costs no allocation.
+// snapshot or wire body); ReadSampleFile, ReadCountsSalvage and
+// ParseCountsText read it back. Each line is appended straight into
+// buf's spare capacity, so a buffer already grown to fit costs no
+// allocation.
 func WriteCounts(buf *bytes.Buffer, counts map[Key]uint64, order []Key) {
 	for _, k := range order {
 		c := counts[k]
@@ -135,39 +136,36 @@ func WriteCounts(buf *bytes.Buffer, counts map[Key]uint64, order []Key) {
 	}
 }
 
-// ReadCounts parses a framed sample file, summing duplicate keys (the
-// daemon appends deltas across flushes). Any damage is a hard error
-// here — use ReadCountsSalvage to recover the intact records with loss
-// accounting.
-func ReadCounts(r io.Reader) (map[Key]uint64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	counts, sal, err := ReadCountsSalvage(data)
-	if err != nil {
-		return nil, err
-	}
-	if sal.Lossy() {
-		return nil, fmt.Errorf("oprofile: sample file corrupt: %d records dropped (%d bytes)",
-			sal.DroppedRecords, sal.DroppedBytes)
-	}
-	return counts, nil
+// ReadSampleFile reads a framed sample file through record.ReadFile,
+// summing duplicate keys across its intact records (the daemon appends
+// deltas across flushes). The File keeps the Missing, Unreadable and
+// Salvage distinctions for the caller to judge; counts is empty, never
+// nil, when no record survives. A checksum-valid record that fails to
+// parse is a writer bug, not disk damage, and errors hard.
+func ReadSampleFile(disk *kernel.Disk, path string) (map[Key]uint64, record.File, error) {
+	f := record.ReadFile(disk, path)
+	counts, err := parseRecords(f.Recs)
+	return counts, f, err
 }
 
-// ReadCountsSalvage parses a framed sample file, recovering every
-// intact record and accounting for damage instead of failing.
+// ReadCountsSalvage parses a framed sample file already in memory,
+// recovering every intact record and accounting for damage instead of
+// failing.
 func ReadCountsSalvage(data []byte) (map[Key]uint64, record.Salvage, error) {
-	counts := make(map[Key]uint64)
 	recs, sal := record.Scan(data)
+	counts, err := parseRecords(recs)
+	return counts, sal, err
+}
+
+// parseRecords sums the sample lines of every record payload.
+func parseRecords(recs [][]byte) (map[Key]uint64, error) {
+	counts := make(map[Key]uint64)
 	for _, payload := range recs {
-		// A checksum-valid record that fails to parse is a writer bug,
-		// not disk damage: fail hard rather than salvage it away.
 		if err := ParseCountsText(payload, counts); err != nil {
-			return nil, sal, err
+			return nil, err
 		}
 	}
-	return counts, sal, nil
+	return counts, nil
 }
 
 // ParseCountsText parses the sample lines of one record payload (the

@@ -541,11 +541,8 @@ func (o *Outcome) Annotate(signature string) (string, error) {
 		return "", fmt.Errorf("viprof: no compiled body for %q", signature)
 	}
 	disk := o.RawMachine().Kern.Disk()
-	data, err := disk.Read("var/lib/oprofile/samples.log")
-	if err != nil {
-		return "", err
-	}
-	counts, sal, err := oprofile.ReadCountsSalvage(data)
+	var buf bytes.Buffer
+	counts, err := readSamples(disk, &buf, "annotation")
 	if err != nil {
 		return "", err
 	}
@@ -554,11 +551,6 @@ func (o *Outcome) Annotate(signature string) (string, error) {
 		return "", err
 	}
 	rows := core.AnnotateBody(counts, chain, body, proc.Name)
-	var buf bytes.Buffer
-	if sal.Lossy() {
-		fmt.Fprintf(&buf, "WARNING: sample file damaged — %d records dropped (%d bytes); annotation built from the %d that survived\n",
-			sal.DroppedRecords, sal.DroppedBytes, sal.Records)
-	}
 	if err := core.FormatAnnotation(&buf, signature, rows, o.Events); err != nil {
 		return "", err
 	}
